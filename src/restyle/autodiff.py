@@ -53,22 +53,11 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad=False, dtype=None):
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def record(data, parents, backward):
@@ -127,11 +116,6 @@ def backward(loss):
     for node, prior in zip(topo, saved):
         if prior is not None:
             node.grad = prior if node.grad is None else node.grad + prior
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
 
 
 def _check_same_shape(a, b, op):
@@ -247,33 +231,51 @@ def _check_chw(a, op):
         raise ContractError(f"{op}: expected a (C,H,W) tensor, got shape {a.shape}")
 
 
+def _sum2x2(x):
+    """Sum of each 2x2 block of a (C, H, W) array.
+
+    Added in the order numpy's reshape-and-sum over the two block axes uses,
+    so the result matches it bit for bit, except when the output is one
+    pixel wide: there numpy adds the four values left to right, and the two
+    can differ in the last bits.
+    """
+    return (x[:, 0::2, 0::2] + x[:, 0::2, 1::2]) + (x[:, 1::2, 0::2] + x[:, 1::2, 1::2])
+
+
+def _repeat2x(x):
+    """Nearest 2x repeat of a (C, H, W) array; equals np.repeat along H, then W."""
+    c, h, w = x.shape
+    out = np.empty((c, 2 * h, 2 * w), dtype=x.dtype)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            out[:, dy::2, dx::2] = x
+    return out
+
+
 def avgpool2x(a):
     """2x2 average pooling; halves H and W."""
     _check_chw(a, "avgpool2x")
     c, h, w = a.shape
     if h % 2 or w % 2:
         raise ContractError(f"avgpool2x: H and W must be even, got {h}x{w}")
-    out = a.data.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4), dtype=a.dtype)
+    quarter = a.dtype.type(0.25)
 
     def bw(g):
         if a.requires_grad:
-            gx = np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * a.dtype.type(0.25)
-            accumulate(a, gx)
+            accumulate(a, _repeat2x(g * quarter))
 
-    return record(out, (a,), bw)
+    return record(_sum2x2(a.data) * quarter, (a,), bw)
 
 
 def upsample_nearest2x(a):
     """Nearest-neighbor upsampling; doubles H and W."""
     _check_chw(a, "upsample_nearest2x")
-    c, h, w = a.shape
-    out = np.repeat(np.repeat(a.data, 2, axis=1), 2, axis=2)
 
     def bw(g):
         if a.requires_grad:
-            accumulate(a, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
+            accumulate(a, _sum2x2(g))
 
-    return record(out, (a,), bw)
+    return record(_repeat2x(a.data), (a,), bw)
 
 
 def concat_channels(xs):
@@ -417,17 +419,95 @@ class ConvParams:
         return [self.weight] if self.bias is None else [self.weight, self.bias]
 
 
-def _im2col(xp, k, stride, ho, wo):
-    c = xp.shape[0]
-    col = np.empty((c, k, k, ho, wo), dtype=xp.dtype)
+def _is_same(k, stride, pad):
+    """Stride 1 with the padding that keeps H and W: every conv in the model."""
+    return stride == 1 and 2 * pad == k - 1
+
+
+def _same_taps(k, h, w):
+    """Tap windows of a stride-1 "same" conv on an H x W map.
+
+    Yields (ky, kx, out_win, in_win): output pixel (oy, ox) of tap (ky, kx)
+    reads input pixel (oy + ky - k//2, ox + kx - k//2), and the two windows
+    are the rectangles where both lie inside the map. Outside them the tap
+    reads the zero border, which is never built.
+    """
+    r = k // 2
     for ky in range(k):
+        oy = slice(max(0, r - ky), min(h, h + r - ky))
+        iy = slice(oy.start + ky - r, oy.stop + ky - r)
         for kx in range(k):
-            col[:, ky, kx] = xp[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]
+            ox = slice(max(0, r - kx), min(w, w + r - kx))
+            ix = slice(ox.start + kx - r, ox.stop + kx - r)
+            yield ky, kx, (slice(None), oy, ox), (slice(None), iy, ix)
+
+
+def _im2col(x, k, stride, pad, ho, wo):
+    """Column matrix of a (C, H, W) input, shape (C*k*k, Ho*Wo).
+
+    Row (c, ky, kx) holds what tap (ky, kx) reads from channel c at each
+    output pixel, so the conv is one GEMM of the (C_out, C*k*k) weight by it.
+    How the columns are built:
+    - 1x1 stride 1, no padding: the input itself, reshaped without a copy.
+    - stride-1 "same" (k=3, pad=1): a zeroed buffer into which each tap's
+      in-map window is copied; the padded input is never built.
+    - any other stride or padding: strided slices of the zero-padded input.
+    All three give the same values, so the GEMM result does not depend on
+    which one ran.
+    """
+    c, h, w = x.shape
+    if _is_same(k, stride, pad):
+        if k == 1:
+            return x.reshape(c, h * w)
+        col = np.zeros((c, k, k, ho, wo), dtype=x.dtype)
+        for ky, kx, out_win, in_win in _same_taps(k, h, w):
+            col[:, ky, kx][out_win] = x[in_win]
+    else:
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+        col = np.empty((c, k, k, ho, wo), dtype=x.dtype)
+        for ky in range(k):
+            for kx in range(k):
+                col[:, ky, kx] = xp[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]
     return col.reshape(c * k * k, ho * wo)
 
 
+def _col2im(dcol, x, k, stride, pad, ho, wo):
+    """Adjoint of `_im2col`: scatter-add column gradients onto x's shape.
+
+    - 1x1 stride 1: the column gradient is dx, reshaped.
+    - stride-1 "same": each tap's window is added into an unpadded zero
+      buffer in tap order.
+    - otherwise: every tap is added into a zero-padded buffer, which is then
+      cropped.
+    The same-conv paths add each pixel's contributions in the order of the
+    padded scatter and skip only those that land in the border, so they give
+    its gradient bit for bit.
+    """
+    c, h, w = x.shape
+    same = _is_same(k, stride, pad)
+    if same and k == 1:
+        return dcol.reshape(c, h, w)
+    dcol = dcol.reshape(c, k, k, ho, wo)
+    if same:
+        dx = np.zeros((c, h, w), dtype=x.dtype)
+        for ky, kx, out_win, in_win in _same_taps(k, h, w):
+            dx[in_win] += dcol[:, ky, kx][out_win]
+        return dx
+    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    for ky in range(k):
+        for kx in range(k):
+            dxp[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += dcol[:, ky, kx]
+    return dxp[:, pad:pad + h, pad:pad + w] if pad else dxp
+
+
 def conv2d(x, p):
-    """2-d convolution (cross-correlation) of a (C, H, W) map."""
+    """2-d convolution (cross-correlation) of a (C, H, W) map.
+
+    One GEMM of the reshaped weight by the `_im2col` columns. The backward
+    pass multiplies the output gradient by the saved columns for the weight
+    gradient, and by the weight for the column gradient, which `_col2im`
+    scatters back onto the input (see those two for the paths taken).
+    """
     _check_chw(x, "conv2d")
     weight, bias, stride, pad = p.weight, p.bias, p.stride, p.padding
     c_out, c_in, k, _ = weight.shape
@@ -442,8 +522,7 @@ def conv2d(x, p):
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    col = _im2col(xp, k, stride, ho, wo)
+    col = _im2col(x.data, k, stride, pad, ho, wo)
     w2 = weight.data.reshape(c_out, c_in * k * k)
     out = w2 @ col
     if bias is not None:
@@ -458,12 +537,7 @@ def conv2d(x, p):
         if bias is not None and bias.requires_grad:
             accumulate(bias, g2.sum(axis=1))
         if x.requires_grad:
-            dcol = (w2.T @ g2).reshape(c_in, k, k, ho, wo)
-            dxp = np.zeros((c_in, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-            for ky in range(k):
-                for kx in range(k):
-                    dxp[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += dcol[:, ky, kx]
-            accumulate(x, dxp[:, pad:pad + h, pad:pad + w] if pad else dxp)
+            accumulate(x, _col2im(w2.T @ g2, x.data, k, stride, pad, ho, wo))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return record(np.ascontiguousarray(out.reshape(c_out, ho, wo)), parents, bw)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -25,6 +26,16 @@ class RunConfig:
     model_dir: str = "model"
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        weights = {"lambda_pc": self.lambda_pc, "lambda_tv": self.lambda_tv,
+                   "zero_pair_weight": self.zero_pair_weight,
+                   **{f"lambda_ps[{i}]": v for i, v in enumerate(self.lambda_ps)}}
+        for name, v in weights.items():
+            if not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
         if len(self.channels) != 4:
             raise ConfigError(f"channels needs 4 values, got {len(self.channels)}")
         if self.levels < 1:

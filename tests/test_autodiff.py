@@ -76,6 +76,49 @@ class TestConv2d:
                             bias.astype(np.float64), 1, pad)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
+    @pytest.mark.parametrize("k,pad", [(3, 1), (3, 0), (1, 0), (1, 1)])
+    def test_matches_loop_oracle_stride2(self, k, pad):
+        rng = np.random.default_rng(40 + k + pad)
+        x = rng.standard_normal((3, 7, 9)).astype(np.float32)
+        wgt = rng.standard_normal((2, 3, k, k)).astype(np.float32)
+        bias = rng.standard_normal(2).astype(np.float32)
+        p = ConvParams(weight=Tensor(wgt), bias=Tensor(bias), stride=2, padding=pad)
+        got = ad.conv2d(Tensor(x), p).data
+        want = conv2d_loops(x.astype(np.float64), wgt.astype(np.float64),
+                            bias.astype(np.float64), 2, pad)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, atol=1e-5)
+
+    @pytest.mark.parametrize("k,c_in,c_out,h,w", [
+        (3, 16, 48, 12, 12), (3, 48, 16, 9, 7), (3, 2, 3, 1, 2), (1, 48, 16, 12, 12), (1, 3, 5, 4, 6)])
+    def test_same_conv_bitwise_equals_padded_columns(self, k, c_in, c_out, h, w):
+        """The pad-free column paths reproduce pad + im2col + scatter byte for byte."""
+        rng = np.random.default_rng(k * 100 + c_in)
+        pad = k // 2
+        x = Tensor(rng.standard_normal((c_in, h, w)).astype(np.float32), requires_grad=True)
+        wgt = Tensor(rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
+                     requires_grad=True)
+        g = rng.standard_normal((c_out, h, w)).astype(np.float32)
+        out = ad.conv2d(x, ConvParams(weight=wgt, padding=pad))
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+
+        xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
+        col = np.empty((c_in, k, k, h, w), dtype=np.float32)
+        for ky in range(k):
+            for kx in range(k):
+                col[:, ky, kx] = xp[:, ky:ky + h, kx:kx + w]
+        col = col.reshape(c_in * k * k, h * w)
+        w2 = wgt.data.reshape(c_out, c_in * k * k)
+        g2 = g.reshape(c_out, h * w)
+        dcol = (w2.T @ g2).reshape(c_in, k, k, h, w)
+        dxp = np.zeros(xp.shape, dtype=np.float32)
+        for ky in range(k):
+            for kx in range(k):
+                dxp[:, ky:ky + h, kx:kx + w] += dcol[:, ky, kx]
+        assert out.data.tobytes() == (w2 @ col).tobytes()
+        assert wgt.grad.tobytes() == (g2 @ col.T).tobytes()
+        assert x.grad.tobytes() == np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w]).tobytes()
+
     def test_reference_case_pad1(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 8, 8)).astype(np.float32)
@@ -150,6 +193,74 @@ class TestElementwiseAndSpatial:
     def test_add_shape_mismatch_raises(self):
         with pytest.raises(ContractError):
             ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+
+def _pool_reference(x):
+    c, h, w = x.shape
+    return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4), dtype=x.dtype)
+
+
+def _block_sum_reference(g):
+    c, h, w = g.shape
+    return g.reshape(c, h // 2, 2, w // 2, 2).sum(axis=(2, 4))
+
+
+def _repeat_reference(x):
+    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _forward_backward(op, x, rng):
+    """op's output and the gradient it passes back for a random output gradient."""
+    t = Tensor(x, requires_grad=True)
+    out = op(t)
+    g = rng.standard_normal(out.shape).astype(x.dtype)
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    return out.data, g, t.grad
+
+
+class TestSpatialKernelsExact:
+    """Pooling and upsampling equal numpy's reshape-reduce and repeat formulas bit for bit."""
+
+    SHAPES = [(3, 96, 96), (16, 48, 48), (48, 96, 96), (128, 6, 6), (2, 4, 6)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_avgpool2x(self, shape, dtype):
+        rng = np.random.default_rng(shape[0])
+        x = rng.standard_normal(shape).astype(dtype)
+        out, g, gx = _forward_backward(ad.avgpool2x, x, rng)
+        _assert_same_bytes(out, _pool_reference(x))
+        _assert_same_bytes(gx, _repeat_reference(g) * dtype(0.25))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_upsample_nearest2x(self, shape, dtype):
+        rng = np.random.default_rng(shape[0])
+        c, h, w = shape
+        x = rng.standard_normal((c, h // 2, w // 2)).astype(dtype)
+        out, g, gx = _forward_backward(ad.upsample_nearest2x, x, rng)
+        _assert_same_bytes(out, _repeat_reference(x))
+        _assert_same_bytes(gx, _block_sum_reference(g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_pixel_wide_output_within_rounding(self, dtype):
+        # numpy adds a one-pixel-wide block left to right, not pairwise. Each
+        # order of four terms errs by at most 1.5 eps * sum|x|, so the two
+        # differ by at most 3 eps * sum|x| (a few ulps of the result).
+        rng = np.random.default_rng(8)
+        eps = np.finfo(dtype).eps
+        x = rng.standard_normal((16, 6, 2)).astype(dtype)
+        pooled, _, _ = _forward_backward(ad.avgpool2x, x, rng)
+        _, g, gx = _forward_backward(ad.upsample_nearest2x, x[:, :3, :1], rng)
+        assert pooled.dtype == gx.dtype == dtype
+        assert np.all(np.abs(pooled - _pool_reference(x)) <= 3 * eps * _pool_reference(np.abs(x)))
+        assert np.all(np.abs(gx - _block_sum_reference(g))
+                      <= 3 * eps * _block_sum_reference(np.abs(g)))
 
 
 class TestMatmulSoftmax:
@@ -257,14 +368,14 @@ def _leaf(rng, shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
 
 
-def _conv_case(k, pad, bias, stride=1):
+def _conv_case(k, pad, bias, stride=1, c_in=3, c_out=4, size=6):
     def build(rng):
-        x = _leaf(rng, (3, 6, 6))
-        w = _leaf(rng, (4, 3, k, k))
-        b = _leaf(rng, (4,)) if bias else None
+        x = _leaf(rng, (c_in, size, size))
+        w = _leaf(rng, (c_out, c_in, k, k))
+        b = _leaf(rng, (c_out,)) if bias else None
         leaves = [x, w] + ([b] if bias else [])
-        ho = (6 + 2 * pad - k) // stride + 1
-        proj = gradcheck.projection(rng, (4, ho, ho))
+        ho = (size + 2 * pad - k) // stride + 1
+        proj = gradcheck.projection(rng, (c_out, ho, ho))
 
         def forward():
             p = ConvParams(weight=w, bias=b, stride=stride, padding=pad)
@@ -295,6 +406,17 @@ class TestFiniteDifferences:
     def test_conv2d(self, seed, k, pad, bias):
         err = gradcheck.check_gradients(_conv_case(k, pad, bias), seed)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k,pad,stride,c_in,c_out,size", [
+        (3, 1, 1, 5, 2, 6),  # "same" 3x3, narrowing
+        (1, 0, 1, 5, 2, 6),  # 1x1, narrowing
+        (3, 1, 2, 3, 4, 7),  # strided
+        (1, 1, 2, 4, 3, 7),  # strided 1x1 over a padded border
+    ])
+    def test_conv2d_channels_and_stride(self, seed, k, pad, stride, c_in, c_out, size):
+        build = _conv_case(k, pad, True, stride=stride, c_in=c_in, c_out=c_out, size=size)
+        assert gradcheck.check_gradients(build, seed) < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matmul(self, seed):

@@ -81,6 +81,13 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path), "--level", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: config:")
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "neg.cfg"
+        cfg_path.write_text(TINY.format(dir=tmp_path / "m").replace("seed = 9", "seed = -1"))
+        assert main(["train", "--config", str(cfg_path), "--level", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "seed" in err
+
 
 class TestStylizeCommand:
     def test_roundtrip_and_intermediates(self, workdir):

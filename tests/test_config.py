@@ -49,3 +49,25 @@ class TestParse:
         cfg = parse_config("seed = 9\nlr = 0.0005\nchannels = 4,6,8,10\nimage_size = 64\n")
         again = parse_config(format_config(cfg))
         assert again == cfg
+
+    @pytest.mark.parametrize("line,key", [
+        ("seed = -1", "seed"),
+        ("lr = nan", "lr"),
+        ("lr = inf", "lr"),
+        ("lr = 0", "lr"),
+        ("lr = -0.001", "lr"),
+        ("lambda_pc = -1", "lambda_pc"),
+        ("lambda_pc = nan", "lambda_pc"),
+        ("lambda_tv = -1e-6", "lambda_tv"),
+        ("lambda_ps = 1,-5,8", "lambda_ps"),
+        ("lambda_ps = 1,5,inf", "lambda_ps"),
+        ("zero_pair_weight = -0.1", "zero_pair_weight"),
+    ])
+    def test_out_of_range_value_rejected(self, line, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(line + "\n")
+
+    def test_zero_weights_and_seed_accepted(self):
+        cfg = parse_config("seed = 0\nlambda_pc = 0\nlambda_ps = 0,0,0\nlambda_tv = 0\n"
+                           "zero_pair_weight = 0\n")
+        assert cfg.seed == 0 and cfg.zero_pair_weight == 0.0

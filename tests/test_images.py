@@ -88,6 +88,28 @@ class TestResampling:
             images.downsample(img[:, :, perm]), images.downsample(img)[:, :, perm])
 
 
+class TestResamplingExact:
+    """Strided resampling equals numpy's reshape-mean and repeat formulas bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [384, 96, 6])
+    def test_downsample(self, size, dtype):
+        img = np.random.default_rng(size).random((size, size, 3)).astype(dtype)
+        want = img.reshape(size // 2, 2, size // 2, 2, 3).mean(axis=(1, 3), dtype=np.float32)
+        got = images.downsample(img)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [384, 96, 6])
+    def test_upsample(self, size, dtype):
+        img = np.random.default_rng(size).random((size // 2, size // 2, 3)).astype(dtype)
+        want = np.repeat(np.repeat(img, 2, axis=0), 2, axis=1)
+        got = images.upsample(img)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestLevelInputs:
     def test_halving_schedule(self):
         rng = np.random.default_rng(5)
