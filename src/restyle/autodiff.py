@@ -14,6 +14,7 @@ so purely inference-side computation carries no bookkeeping cost.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,13 +412,6 @@ class ConvParams:
         if self.padding < 0:
             raise ContractError("ConvParams: padding must be non-negative")
 
-    @property
-    def kernel(self):
-        return self.weight.shape[2]
-
-    def tensors(self):
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
-
 
 def _is_same(k, stride, pad):
     """Stride 1 with the padding that keeps H and W: every conv in the model."""
@@ -562,3 +556,35 @@ def conv_weight(rng, c_out, c_in, k, gain, dtype=DEFAULT_DTYPE):
     w = orthogonal_matrix(rng, c_out, fan_in, dtype=dtype)
     # QR columns are unit-norm; rescale so each filter has norm gain
     return Tensor((w * gain).reshape(c_out, c_in, k, k).astype(dtype))
+
+
+# ---------------------------------------------------------------------------
+# named parameter tables: any object whose `named_tensors()` maps a stable
+# name to each of its Tensors
+
+def cast_params(params, dtype):
+    """Copy of a parameter container with every named tensor cast to `dtype`.
+
+    The copy has its own storage, keeps each tensor's `requires_grad` and has
+    no gradients; float64 copies shadow a model for finite-difference checks.
+    """
+    out = copy.deepcopy(params)
+    for t in out.named_tensors().values():
+        t.data = t.data.astype(dtype)
+        t.grad = None
+    return out
+
+
+def load_state(params, state):
+    """Copy named arrays into an existing parameter set, validating shapes."""
+    named = params.named_tensors()
+    missing = set(named) - set(state)
+    extra = set(state) - set(named)
+    if missing or extra:
+        raise ContractError(f"load_state: missing={sorted(missing)} extra={sorted(extra)}")
+    for name, t in named.items():
+        arr = state[name]
+        if tuple(arr.shape) != tuple(t.shape):
+            raise ContractError(f"load_state: {name} has shape {arr.shape}, want {t.shape}")
+        t.data = np.ascontiguousarray(arr.astype(np.float32))
+    return params

@@ -16,6 +16,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -72,8 +73,9 @@ def loads(data: bytes):
                 raise CheckpointError(f"truncated data for {name!r}")
             arr = np.frombuffer(data[pos:pos + nbytes], dtype="<f4").reshape(dims)
             pos += nbytes
-        except struct.error as exc:
-            raise CheckpointError(f"truncated entry table: {exc}") from exc
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"bad entry table (truncated, or a name not UTF-8): "
+                                  f"{exc}") from exc
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         out[name] = np.ascontiguousarray(arr)
@@ -82,9 +84,23 @@ def loads(data: bytes):
     return out
 
 
+def write_atomic(path, data: bytes):
+    """Replace the file at `path` with `data` through a temporary file in the
+    same directory, so the path holds the old bytes or the new, never a part."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write(path, named):
-    with open(path, "wb") as fh:
-        fh.write(dumps(named))
+    write_atomic(path, dumps(named))
 
 
 def read(path):

@@ -6,15 +6,13 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
+from . import checkpoint, trainer
 from . import gradcheck as gradcheck_mod
-from . import trainer
 from .config import load_config
 from .errors import CheckpointError, ConfigError, ContractError, PpmParseError, \
     TrainingDiverged
 from .images import load_ppm, save_ppm
-from .stylizer import refine_external, stylize, stylize_alpha
+from .stylizer import refine_external, stylize
 
 
 def _read_image(path):
@@ -36,29 +34,17 @@ def cmd_train(args):
     out = args.out or os.path.join(cfg.model_dir, trainer.level_file(args.level))
     trainer.save_level_checkpoint(out, result.params)
     log_path = os.path.splitext(out)[0] + ".log"
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for line in result.log_lines:
-            fh.write(line + "\n")
+    checkpoint.write_atomic(log_path, "".join(line + "\n" for line in result.log_lines)
+                            .encode("utf-8"))
     print(f"trained level {args.level}: {out} ({len(result.log_lines)} steps)")
     return 0
 
 
-def _check_alpha(alpha):
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
-        raise ContractError(f"alpha {alpha} outside [0, 1]")
-
-
 def cmd_stylize(args):
-    _check_alpha(args.alpha)
     model, _ = trainer.load_model_dir(args.model)
     content = _read_image(args.content)
     style = _read_image(args.style)
-    if content.shape != style.shape:
-        raise ContractError(f"content {content.shape[:2]} and style {style.shape[:2]} differ")
-    if args.alpha is None:
-        result = stylize(content, style, model)
-    else:
-        result = stylize_alpha(content, style, model, args.alpha)
+    result = stylize(content, style, model, alpha=args.alpha)
     _write_image(args.out, result.final)
     if args.save_intermediates:
         os.makedirs(args.save_intermediates, exist_ok=True)
@@ -86,12 +72,12 @@ def cmd_eval(args):
     pairs = []
     with open(args.pairs, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            line = raw.rstrip("\r\n")
+            if not line.strip():
                 continue
-            parts = line.split()
+            parts = line.split("\t")
             if len(parts) != 2:
-                raise ConfigError(f"{args.pairs}:{lineno}: expected two paths per line")
+                raise ConfigError(f"{args.pairs}:{lineno}: expected two TAB-separated paths")
             pairs.append((_read_image(parts[0]), _read_image(parts[1])))
     if not pairs:
         raise ConfigError(f"{args.pairs}: no pairs listed")

@@ -39,25 +39,7 @@ class Encoder:
 
     def astype(self, dtype):
         """Dtype-shadow copy (used for float64 finite-difference checks)."""
-        stages = [[ConvParams(weight=Tensor(c.weight.data.astype(dtype)),
-                              stride=c.stride, padding=c.padding)
-                   for c in stage] for stage in self.stages]
-        return Encoder(stages=stages, channels=self.channels)
-
-
-def load_encoder_state(enc: Encoder, state):
-    """Copy named weight arrays into an encoder, validating names and shapes."""
-    named = enc.named_tensors()
-    missing = set(named) - set(state)
-    extra = set(state) - set(named)
-    if missing or extra:
-        raise ContractError(f"load_encoder_state: missing={sorted(missing)} extra={sorted(extra)}")
-    for name, t in named.items():
-        arr = state[name]
-        if tuple(arr.shape) != tuple(t.shape):
-            raise ContractError(f"load_encoder_state: {name} shape {arr.shape}, want {t.shape}")
-        t.data = np.ascontiguousarray(arr.astype(np.float32))
-    return enc
+        return ad.cast_params(self, dtype)
 
 
 def _box3(img):
@@ -156,9 +138,6 @@ class FeatureStack:
 
     stages: tuple[Tensor, ...]
 
-    def __getitem__(self, i):
-        return self.stages[i]
-
 
 @dataclass
 class ErrorBundle:
@@ -184,10 +163,7 @@ def encode(img, enc: Encoder) -> FeatureStack:
         raise ContractError(f"encode: dimensions {h}x{w} must be divisible by 8")
     feats = []
     for i, stage in enumerate(enc.stages):
-        if i > 0:
-            x = ad.avgpool2x(x)
-        for conv in stage:
-            x = ad.relu(ad.conv2d(x, conv))
+        x = _stage_forward(x, stage, pool=i > 0)
         feats.append(x)
     return FeatureStack(stages=tuple(feats))
 

@@ -16,10 +16,6 @@ def _validate(img, op):
         raise ContractError(f"{op}: expected an (H, W, 3) array")
 
 
-def clamp01(img):
-    return np.clip(img, 0.0, 1.0).astype(np.float32)
-
-
 def load_ppm(data: bytes) -> np.ndarray:
     """Parse binary P6 PPM bytes into an (H, W, 3) float image in [0,1]."""
     pos = 0
@@ -64,14 +60,14 @@ def load_ppm(data: bytes) -> np.ndarray:
         raise PpmParseError(f"truncated payload, need {need} bytes, have {len(payload)}",
                             pos + len(payload))
     pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float32) / 255.0
-    return clamp01(pixels.reshape(height, width, 3))
+    return pixels.reshape(height, width, 3)
 
 
 def save_ppm(img: np.ndarray) -> bytes:
     """Encode an (H, W, 3) float image as binary P6 bytes (values clamped)."""
     _validate(img, "save_ppm")
     h, w, _ = img.shape
-    quantized = np.rint(clamp01(img) * 255.0).astype(np.uint8)
+    quantized = np.rint(np.clip(img, 0.0, 1.0).astype(np.float32) * 255.0).astype(np.uint8)
     return b"P6\n%d %d\n255\n" % (w, h) + quantized.tobytes()
 
 

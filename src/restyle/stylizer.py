@@ -66,33 +66,41 @@ def _level_bundle(content, style, icing, enc, alpha):
     return mix_bundles(toward_style, toward_content, alpha)
 
 
+def _walk(icing, pairs, start, model: PyramidModel, alpha=None) -> StylizeResult:
+    """Refine from pairs[start] to the finest level, upsampling between levels."""
+    k = model.depth
+    intermediates = []
+    for idx in range(start, k):
+        c_k, s_k = pairs[idx]
+        bundle = None
+        if alpha is not None:
+            bundle = _level_bundle(c_k, s_k, icing, model.encoder, alpha)
+        out = refine_level(icing, c_k, s_k, model.levels[k - idx - 1], model.encoder,
+                           bundle=bundle)
+        intermediates.append(out)
+        if idx + 1 < k:
+            icing = upsample(out)
+    return StylizeResult(final=intermediates[-1], intermediates=intermediates)
+
+
 def stylize(content, style, model: PyramidModel, alpha: float | None = None) -> StylizeResult:
-    """Full pyramid pass; returns the final image and per-level intermediates."""
+    """Full pyramid pass; returns the final image and per-level intermediates.
+
+    `alpha` in [0, 1] sets the style strength; None (or 1) is plain stylization.
+    """
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ContractError(f"stylize: alpha {alpha} outside [0, 1]")
     k = model.depth
     h, w = content.shape[0], content.shape[1]
     need = 8 * 2 ** (k - 1)
     if h % need or w % need:
         raise ContractError(f"stylize: dimensions {h}x{w} must be divisible by {need}")
     pairs = build_level_inputs(content, style, levels=k)
-    icing = np.zeros_like(pairs[0][0])
-    intermediates = []
-    for idx, (c_k, s_k) in enumerate(pairs):
-        bundle = None
-        if alpha is not None:
-            bundle = _level_bundle(c_k, s_k, icing, model.encoder, alpha)
-        level_no = k - idx
-        out = refine_level(icing, c_k, s_k, model.levels[level_no - 1], model.encoder,
-                           bundle=bundle)
-        intermediates.append(out)
-        if idx + 1 < len(pairs):
-            icing = upsample(out)
-    return StylizeResult(final=intermediates[-1], intermediates=intermediates)
+    return _walk(np.zeros_like(pairs[0][0]), pairs, 0, model, alpha)
 
 
 def stylize_alpha(content, style, model: PyramidModel, alpha: float) -> StylizeResult:
     """Stylization with adjustable strength; alpha=1 is plain stylize."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ContractError(f"stylize_alpha: alpha {alpha} outside [0, 1]")
     return stylize(content, style, model, alpha=alpha)
 
 
@@ -106,13 +114,4 @@ def refine_external(external, content, style, model: PyramidModel, level: int) -
     if external.shape != want:
         raise ContractError(f"refine_external: input shape {external.shape}, "
                             f"level {level} needs {want}")
-    icing = external
-    intermediates = []
-    for idx in range(k - level, k):
-        c_k, s_k = pairs[idx]
-        level_no = k - idx
-        out = refine_level(icing, c_k, s_k, model.levels[level_no - 1], model.encoder)
-        intermediates.append(out)
-        if idx + 1 < len(pairs):
-            icing = upsample(out)
-    return StylizeResult(final=intermediates[-1], intermediates=intermediates)
+    return _walk(external, pairs, k - level, model)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,12 +30,12 @@ from . import checkpoint
 from .autodiff import Tensor
 from .config import RunConfig, format_config, load_config
 from .corpus import CorpusSpec, make_corpus
-from .encoder import Encoder, ErrorBundle, FeatureStack, encode, errors_between, gram_stack, \
-    load_encoder_state, make_encoder
+from .encoder import Encoder, ErrorBundle, FeatureStack, _as_image_tensor, encode, \
+    errors_between, gram_stack, make_encoder
 from .errors import ConfigError, ContractError, TrainingDiverged
-from .images import downsample, to_chw, upsample
+from .images import downsample, upsample
 from .stylizer import PyramidModel, refine_level, stylize
-from .transition import LevelParams, load_state, make_level_params, run_decoder
+from .transition import LevelParams, make_level_params, run_decoder
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +88,14 @@ def _sum(terms):
     return total
 
 
-def _as_tensor(img):
-    return img if isinstance(img, Tensor) else Tensor(to_chw(img))
-
-
 def content_loss(stylized, content, level, depth, enc: Encoder):
     """Deep-feature distance at this level plus all coarser-level terms.
 
     Both images are at level-`level` resolution; for each coarser level j the
     pair is downsampled j-level more times and compared again.
     """
-    cs = _as_tensor(stylized)
-    c = _as_tensor(content)
+    cs = _as_image_tensor(stylized)
+    c = _as_image_tensor(content)
     if cs.shape != c.shape:
         raise ContractError(f"content_loss: {cs.shape} vs {c.shape}")
     count = depth - level + 1
@@ -110,8 +107,8 @@ def content_loss(stylized, content, level, depth, enc: Encoder):
 def style_loss(stylized, style, level, depth, enc: Encoder):
     """Gram distances at every stage, plus deepest-stage terms after each
     further downsampling to coarser levels."""
-    cs = _as_tensor(stylized)
-    s = _as_tensor(style)
+    cs = _as_image_tensor(stylized)
+    s = _as_image_tensor(style)
     if cs.shape != s.shape:
         raise ContractError(f"style_loss: {cs.shape} vs {s.shape}")
     count = depth - level + 1
@@ -138,7 +135,7 @@ def recovering_clamp01(a):
 
 def tv_loss(img):
     """Mean of squared forward differences, horizontal and vertical."""
-    t = _as_tensor(img)
+    t = _as_image_tensor(img)
     x = t.data
     if x.ndim != 3 or (x.shape[1] < 2 and x.shape[2] < 2):
         raise ContractError(f"tv_loss: need a (C, H, W) map with H or W >= 2, got {x.shape}")
@@ -178,16 +175,74 @@ def combine_losses(l_pc, l_ps, l_tv, level, weights: LossWeights, zero_sq=None):
     return total
 
 
-def total_loss(stylized, content, style, level, depth, enc, weights: LossWeights,
-               zero_residual=None):
-    """Full training objective for one stylized output at one level."""
-    l_pc = content_loss(stylized, content, level, depth, enc)
-    l_ps = style_loss(stylized, style, level, depth, enc)
+class LevelTargets(NamedTuple):
+    """Encoder targets of one (content, style) pair for one level's objective."""
+
+    content_stack: FeatureStack           # content at this level
+    content_deep: list[Tensor]            # deepest content features, this level and coarser
+    style_grams: tuple[Tensor, ...]       # style Gram stack at this level
+    style_deep_grams: list[Tensor]        # deepest style Gram at each coarser level
+
+
+def image_targets(content, style, count, enc) -> LevelTargets:
+    """Targets of a (content, style) pair over `count` levels, pooling the images."""
+    c_stacks = _stack_chain(content, count, enc)
+    s_stacks = _stack_chain(style, count, enc)
+    return LevelTargets(content_stack=c_stacks[0],
+                        content_deep=[st.stages[-1] for st in c_stacks],
+                        style_grams=gram_stack(s_stacks[0]),
+                        style_deep_grams=[ad.gram(st.stages[-1]) for st in s_stacks[1:]])
+
+
+def level_objective(stylized, targets: LevelTargets, level, enc, weights: LossWeights,
+                    zero_residual=None):
+    """Weighted objective of a stylized (3, H, W) tensor: (total, l_pc, l_ps, l_tv).
+
+    The content and style terms cover this level and every coarser one;
+    `zero_residual` adds the zero-pair term.
+    """
+    stacks = _stack_chain(stylized, len(targets.content_deep), enc)
+    l_pc = _sum(_content_terms(stacks, targets.content_deep))
+    l_ps = _sum(_style_terms(stacks, targets.style_grams, targets.style_deep_grams))
     l_tv = tv_loss(stylized)
     zero_sq = None
     if zero_residual is not None:
         zero_sq = ad.mean_all(ad.mul(zero_residual, zero_residual))
-    return combine_losses(l_pc, l_ps, l_tv, level, weights, zero_sq=zero_sq)
+    total = combine_losses(l_pc, l_ps, l_tv, level, weights, zero_sq=zero_sq)
+    return total, l_pc, l_ps, l_tv
+
+
+def _zero_bundle(stack: FeatureStack):
+    """Errors of an image against itself are exactly zero."""
+    c4 = stack.stages[-1]
+    content = Tensor(np.zeros_like(c4.data))
+    style = tuple(Tensor(np.zeros((f.shape[0], f.shape[0]), dtype=f.dtype))
+                  for f in stack.stages)
+    return ErrorBundle(content=content, style=style)
+
+
+def sample_objective(icing_t, targets: LevelTargets, params: LevelParams, enc, level,
+                     weights: LossWeights):
+    """The training objective of one sample: the level's network refines the
+    estimate `icing_t`, its losses are taken on the recovering clamp, and the
+    zero-pair term asks for a zero residual on the content's own features."""
+    f_in = encode(icing_t, enc)
+    bundle = errors_between(targets.content_deep[0], targets.style_grams, f_in)
+    residual, _ = run_decoder(bundle, f_in, params)
+    stylized = recovering_clamp01(ad.add(icing_t, residual))
+    zero_res, _ = run_decoder(_zero_bundle(targets.content_stack), targets.content_stack, params)
+    return level_objective(stylized, targets, level, enc, weights, zero_residual=zero_res)
+
+
+def total_loss(stylized, content, style, level, depth, enc, weights: LossWeights,
+               zero_residual=None):
+    """Weighted objective of a stylized image at one level, with targets pooled
+    from the content and style images (training uses `sample_objective`)."""
+    cs, c, s = (_as_image_tensor(x) for x in (stylized, content, style))
+    if not cs.shape == c.shape == s.shape:
+        raise ContractError(f"total_loss: image shapes differ: {cs.shape}, {c.shape}, {s.shape}")
+    targets = image_targets(c, s, depth - level + 1, enc)
+    return level_objective(cs, targets, level, enc, weights, zero_residual)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +313,6 @@ class TargetCache:
             grams = gram_stack(stack)
             self._feats[key] = (stack, grams)
         return self._feats[key]
-
-
-def _zero_bundle(stack: FeatureStack):
-    """Errors of an image against itself are exactly zero."""
-    c4 = stack.stages[-1]
-    content = Tensor(np.zeros_like(c4.data))
-    style = tuple(Tensor(np.zeros((f.shape[0], f.shape[0]), dtype=np.float32))
-                  for f in stack.stages)
-    return ErrorBundle(content=content, style=style)
 
 
 # ---------------------------------------------------------------------------
@@ -426,27 +472,15 @@ def _train_sample(cfg, level, enc, frozen, params, cache, weights, images,
         icing = refine_level(icing, c_chain[j - 1], s_chain[j - 1], frozen[j], enc)
         icing = upsample(icing)
 
-    icing_t = Tensor(to_chw(icing))
-    f_in = encode(icing_t, enc)
-    c_stack_k, _ = cache.features(c_role, c_idx, c_img, level)
-    s_grams_k = cache.features(s_role, s_idx, s_img, level)[1]
-    bundle = errors_between(c_stack_k.stages[-1], s_grams_k, f_in)
-    residual, _ = run_decoder(bundle, f_in, params)
-    stylized = recovering_clamp01(ad.add(icing_t, residual))
-
-    # loss terms at this level and all coarser levels
-    stacks = _stack_chain(stylized, depth - level + 1, enc)
-    content_targets = [cache.features(c_role, c_idx, c_img, j)[0].stages[-1]
-                       for j in range(level, depth + 1)]
-    deep_style_targets = [cache.features(s_role, s_idx, s_img, j)[1][-1]
-                          for j in range(level + 1, depth + 1)]
-    l_pc = _sum(_content_terms(stacks, content_targets))
-    l_ps = _sum(_style_terms(stacks, s_grams_k, deep_style_targets))
-    l_tv = tv_loss(stylized)
-
-    zero_res, _ = run_decoder(_zero_bundle(c_stack_k), c_stack_k, params)
-    zero_sq = ad.mean_all(ad.mul(zero_res, zero_res))
-    total = combine_losses(l_pc, l_ps, l_tv, level, weights, zero_sq=zero_sq)
+    targets = LevelTargets(
+        content_stack=cache.features(c_role, c_idx, c_img, level)[0],
+        content_deep=[cache.features(c_role, c_idx, c_img, j)[0].stages[-1]
+                      for j in range(level, depth + 1)],
+        style_grams=cache.features(s_role, s_idx, s_img, level)[1],
+        style_deep_grams=[cache.features(s_role, s_idx, s_img, j)[1][-1]
+                          for j in range(level + 1, depth + 1)])
+    total, l_pc, l_ps, l_tv = sample_objective(_as_image_tensor(icing), targets, params, enc,
+                                               level, weights)
     ad.backward(total)
     return np.array([l_pc.item(), l_ps.item(), l_tv.item(), total.item()])
 
@@ -506,12 +540,6 @@ def save_level_checkpoint(path, params: LevelParams):
     checkpoint.write(path, {k: t.data for k, t in params.named_tensors().items()})
 
 
-def load_level_checkpoint(path, channels) -> LevelParams:
-    params = make_level_params(0, channels=channels, trainable=False)
-    load_state(params, checkpoint.read(path))
-    return params
-
-
 def init_model_dir(model_dir, cfg: RunConfig, enc: Encoder):
     """Write (or verify) the config snapshot and encoder checkpoint."""
     os.makedirs(model_dir, exist_ok=True)
@@ -546,7 +574,8 @@ def load_frozen_levels(model_dir, cfg: RunConfig, above_level) -> dict[int, Leve
         path = os.path.join(model_dir, level_file(j))
         if not os.path.exists(path):
             raise ConfigError(f"missing checkpoint for level {j}: {path}")
-        frozen[j] = load_level_checkpoint(path, cfg.channels)
+        params = make_level_params(0, channels=cfg.channels, trainable=False)
+        frozen[j] = ad.load_state(params, checkpoint.read(path))
     return frozen
 
 
@@ -560,11 +589,6 @@ def load_model_dir(model_dir):
     enc_path = os.path.join(model_dir, ENCODER_FILE)
     if not os.path.exists(enc_path):
         raise ConfigError(f"missing encoder checkpoint: {enc_path}")
-    load_encoder_state(enc, checkpoint.read(enc_path))
-    levels = []
-    for k in range(1, cfg.levels + 1):
-        path = os.path.join(model_dir, level_file(k))
-        if not os.path.exists(path):
-            raise ConfigError(f"missing checkpoint for level {k}: {path}")
-        levels.append(load_level_checkpoint(path, cfg.channels))
-    return PyramidModel(encoder=enc, levels=levels), cfg
+    ad.load_state(enc, checkpoint.read(enc_path))
+    frozen = load_frozen_levels(model_dir, cfg, 0)
+    return PyramidModel(encoder=enc, levels=[frozen[k] for k in range(1, cfg.levels + 1)]), cfg

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ConvParams, Tensor
+from .autodiff import ConvParams, Tensor, load_state  # noqa: F401 (re-exported)
 from .encoder import (Encoder, ErrorBundle, FeatureStack, encode, errors_between, fuse,
                       gram_stack)
 from .errors import ContractError
@@ -86,27 +86,7 @@ class LevelParams:
 
     def astype(self, dtype):
         """Dtype-shadow copy (used for float64 finite-difference checks)."""
-
-        def conv(p):
-            return ConvParams(weight=Tensor(p.weight.data.astype(dtype),
-                                            requires_grad=p.weight.requires_grad),
-                              stride=p.stride, padding=p.padding)
-
-        def mat(t):
-            return Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
-
-        return LevelParams(
-            fuse_w=mat(self.fuse_w),
-            nonlocal_=NonLocalParams(psi_h=conv(self.nonlocal_.psi_h),
-                                     psi_u=conv(self.nonlocal_.psi_u),
-                                     psi_g=conv(self.nonlocal_.psi_g)),
-            blocks=[PropagationBlockParams(phi_t=conv(b.phi_t), psi=mat(b.psi),
-                                           phi_u=conv(b.phi_u), phi_v=conv(b.phi_v),
-                                           phi_w=conv(b.phi_w))
-                    for b in self.blocks],
-            head=conv(self.head),
-            channels=self.channels,
-        )
+        return ad.cast_params(self, dtype)
 
 
 HEAD_GAIN = 0.1
@@ -141,21 +121,6 @@ def make_level_params(seed, channels=(16, 32, 64, 128), trainable=True):
     params = LevelParams(fuse_w=fuse_w, nonlocal_=nonlocal_, blocks=blocks,
                          head=head, channels=tuple(channels))
     return params.set_trainable(trainable)
-
-
-def load_state(params: LevelParams, state):
-    """Copy named arrays into an existing parameter set, validating shapes."""
-    named = params.named_tensors()
-    missing = set(named) - set(state)
-    extra = set(state) - set(named)
-    if missing or extra:
-        raise ContractError(f"load_state: missing={sorted(missing)} extra={sorted(extra)}")
-    for name, t in named.items():
-        arr = state[name]
-        if tuple(arr.shape) != tuple(t.shape):
-            raise ContractError(f"load_state: {name} has shape {arr.shape}, want {t.shape}")
-        t.data = np.ascontiguousarray(arr.astype(np.float32))
-    return params
 
 
 def nonlocal_block(err4: Tensor, f_in4: Tensor, p: NonLocalParams) -> Tensor:

@@ -60,3 +60,20 @@ class TestErrors:
         blob = checkpoint.dumps({"x": np.zeros(4, dtype=np.float32)})
         with pytest.raises(CheckpointError, match="trailing"):
             checkpoint.loads(blob + b"zz")
+
+    def test_non_utf8_name(self):
+        blob = bytearray(checkpoint.dumps({"x": np.zeros(1, dtype=np.float32)}))
+        blob[14] = 0xFF  # the name's only byte, after magic, version, count, name_len
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            checkpoint.loads(bytes(blob))
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_bytes(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        checkpoint.write(path, sample_table())
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="too long"):
+            checkpoint.write(path, {"n" * 0x10000: np.zeros(1, dtype=np.float32)})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.ckpt"]

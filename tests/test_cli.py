@@ -131,6 +131,19 @@ class TestStylizeCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_utf8_checkpoint_name_exits_2(self, workdir, capsys):
+        tmp, cfg_path = workdir
+        train_all(cfg_path)
+        enc_path = tmp / "model" / "encoder.ckpt"
+        blob = bytearray(enc_path.read_bytes())
+        blob[14] = 0xFF  # first byte of the first tensor name
+        enc_path.write_bytes(bytes(blob))
+        write_image(tmp / "c.ppm", np.zeros((32, 32, 3), dtype=np.float32))
+        rc = main(["stylize", "--content", str(tmp / "c.ppm"), "--style", str(tmp / "c.ppm"),
+                   "--model", str(tmp / "model"), "--out", str(tmp / "o.ppm")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_image_exits_2(self, workdir, capsys):
         tmp, cfg_path = workdir
         train_all(cfg_path)
@@ -175,12 +188,30 @@ class TestRefineAndEval:
         assert rows[1].split("\t")[0] == "L_c" and len(rows[1].split("\t")) == 3
         assert rows[2].split("\t")[0] == "L_s" and len(rows[2].split("\t")) == 3
 
+    def test_eval_paths_with_spaces(self, workdir):
+        tmp, cfg_path = workdir
+        train_all(cfg_path)
+        (c, s), = make_test_pairs(CorpusSpec(seed=5, size=32, content_count=1, style_count=1), 1)
+        folder = tmp / "my images"
+        folder.mkdir()
+        write_image(folder / "content 1.ppm", c)
+        write_image(folder / "style 1.ppm", s)
+        (tmp / "pairs.txt").write_text(f"{folder}/content 1.ppm\t{folder}/style 1.ppm\n")
+        rc = main(["eval", "--model", str(tmp / "model"), "--pairs", str(tmp / "pairs.txt"),
+                   "--out", str(tmp / "table.tsv")])
+        assert rc == 0
+        assert len((tmp / "table.tsv").read_text().strip().split("\n")) == 3
+
 
 class TestGradcheckCommand:
     def test_single_op(self, capsys):
         assert main(["gradcheck", "--op", "gram"]) == 0
         out = capsys.readouterr().out
         assert "PASS gram" in out
+
+    def test_training_objective(self, capsys):
+        assert main(["gradcheck", "--op", "training_objective"]) == 0
+        assert "PASS training_objective" in capsys.readouterr().out
 
     def test_unknown_op_exits_2(self, capsys):
         assert main(["gradcheck", "--op", "nope"]) == 2

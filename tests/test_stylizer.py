@@ -113,6 +113,11 @@ class TestStylizeAlpha:
         with pytest.raises(ContractError):
             stylize_alpha(rand_img(19), rand_img(20), model, alpha=1.5)
 
+    @pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan")])
+    def test_stylize_checks_alpha(self, model, alpha):
+        with pytest.raises(ContractError, match="alpha"):
+            stylize(rand_img(19), rand_img(20), model, alpha=alpha)
+
 
 class TestRefineExternal:
     def test_full_resolution_shape(self, model):

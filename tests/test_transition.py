@@ -322,6 +322,37 @@ class TestEtnetForward:
         with pytest.raises(ContractError):
             load_state(params, {"bogus": np.zeros(3)})
 
+    def test_encoder_load_state_validates(self):
+        enc = make_encoder(seed=2, channels=CHANNELS)
+        state = {k: v.data.copy() for k, v in enc.named_tensors().items()}
+        first = next(iter(state))
+        missing = {k: v for k, v in state.items() if k != first}
+        with pytest.raises(ContractError, match="missing"):
+            load_state(enc, missing)
+        with pytest.raises(ContractError, match="extra"):
+            load_state(enc, {**state, "encoder.stage5.conv1.weight": state[first]})
+        with pytest.raises(ContractError, match="shape"):
+            load_state(enc, {**state, first: np.zeros((1, 1, 1, 1), dtype=np.float32)})
+        load_state(make_encoder(seed=3, channels=CHANNELS), state)
+
+    @pytest.mark.parametrize("make", [lambda: make_encoder(seed=2, channels=CHANNELS),
+                                      lambda: make_level_params(seed=9, channels=CHANNELS)],
+                             ids=["encoder", "level"])
+    def test_astype_float64_copy(self, make):
+        params = make()
+        for t in params.named_tensors().values():
+            t.grad = np.ones_like(t.data)
+        shadow = params.astype(np.float64)
+        assert type(shadow) is type(params)
+        named, copies = params.named_tensors(), shadow.named_tensors()
+        assert list(copies) == list(named)
+        for name, t in named.items():
+            c = copies[name]
+            assert c.dtype == np.float64 and c.grad is None
+            assert c.requires_grad == t.requires_grad
+            np.testing.assert_array_equal(c.data, t.data.astype(np.float64))
+            assert not np.shares_memory(c.data, t.data)
+
     def test_gradients_all_parameters(self, small_setup):
         enc, _ = small_setup
         enc64 = enc.astype(np.float64)
