@@ -413,26 +413,29 @@ class ConvParams:
             raise ContractError("ConvParams: padding must be non-negative")
 
 
-def _is_same(k, stride, pad):
-    """Stride 1 with the padding that keeps H and W: every conv in the model."""
-    return stride == 1 and 2 * pad == k - 1
-
-
-def _same_taps(k, h, w):
-    """Tap windows of a stride-1 "same" conv on an H x W map.
+def _taps(k, stride, pad, h, w, ho, wo):
+    """Tap windows of a conv on an H x W map with output size Ho x Wo.
 
     Yields (ky, kx, out_win, in_win): output pixel (oy, ox) of tap (ky, kx)
-    reads input pixel (oy + ky - k//2, ox + kx - k//2), and the two windows
-    are the rectangles where both lie inside the map. Outside them the tap
-    reads the zero border, which is never built.
+    reads input pixel (stride*oy + ky - pad, stride*ox + kx - pad), and the
+    two windows are the (strided) rectangles where both lie inside the map.
+    Outside them the tap reads the zero border, which is never built; a tap
+    that reads only border is skipped.
     """
-    r = k // 2
-    for ky in range(k):
-        oy = slice(max(0, r - ky), min(h, h + r - ky))
-        iy = slice(oy.start + ky - r, oy.stop + ky - r)
-        for kx in range(k):
-            ox = slice(max(0, r - kx), min(w, w + r - kx))
-            ix = slice(ox.start + kx - r, ox.stop + kx - r)
+    def spans(n, n_out):
+        out = []
+        for t in range(k):
+            lo = max(0, -((t - pad) // stride))  # first o with stride*o + t - pad >= 0
+            hi = min(n_out, (n - 1 + pad - t) // stride + 1)
+            if hi > lo:
+                start = stride * lo + t - pad
+                out.append((t, slice(lo, hi),
+                            slice(start, start + stride * (hi - lo - 1) + 1, stride)))
+        return out
+
+    cols = spans(w, wo)
+    for ky, oy, iy in spans(h, ho):
+        for kx, ox, ix in cols:
             yield ky, kx, (slice(None), oy, ox), (slice(None), iy, ix)
 
 
@@ -441,57 +444,36 @@ def _im2col(x, k, stride, pad, ho, wo):
 
     Row (c, ky, kx) holds what tap (ky, kx) reads from channel c at each
     output pixel, so the conv is one GEMM of the (C_out, C*k*k) weight by it.
-    How the columns are built:
-    - 1x1 stride 1, no padding: the input itself, reshaped without a copy.
-    - stride-1 "same" (k=3, pad=1): a zeroed buffer into which each tap's
-      in-map window is copied; the padded input is never built.
-    - any other stride or padding: strided slices of the zero-padded input.
-    All three give the same values, so the GEMM result does not depend on
-    which one ran.
+    Each tap's in-map window is copied into a zeroed buffer, so the padded
+    input is never built; a 1x1 stride-1 unpadded conv uses the input itself,
+    reshaped without a copy.
     """
     c, h, w = x.shape
-    if _is_same(k, stride, pad):
-        if k == 1:
-            return x.reshape(c, h * w)
-        col = np.zeros((c, k, k, ho, wo), dtype=x.dtype)
-        for ky, kx, out_win, in_win in _same_taps(k, h, w):
-            col[:, ky, kx][out_win] = x[in_win]
-    else:
-        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-        col = np.empty((c, k, k, ho, wo), dtype=x.dtype)
-        for ky in range(k):
-            for kx in range(k):
-                col[:, ky, kx] = xp[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]
+    if k == 1 and stride == 1 and pad == 0:  # every 1x1 conv in the model
+        return x.reshape(c, h * w)
+    col = np.zeros((c, k, k, ho, wo), dtype=x.dtype)
+    for ky, kx, out_win, in_win in _taps(k, stride, pad, h, w, ho, wo):
+        col[:, ky, kx][out_win] = x[in_win]
     return col.reshape(c * k * k, ho * wo)
 
 
 def _col2im(dcol, x, k, stride, pad, ho, wo):
     """Adjoint of `_im2col`: scatter-add column gradients onto x's shape.
 
-    - 1x1 stride 1: the column gradient is dx, reshaped.
-    - stride-1 "same": each tap's window is added into an unpadded zero
-      buffer in tap order.
-    - otherwise: every tap is added into a zero-padded buffer, which is then
-      cropped.
-    The same-conv paths add each pixel's contributions in the order of the
-    padded scatter and skip only those that land in the border, so they give
-    its gradient bit for bit.
+    Each tap's window is added into an unpadded zero buffer in tap order:
+    every pixel gets its contributions in the order a scatter into a padded
+    buffer would add them, less those that land in the border, so the
+    gradient is that of the padded scatter bit for bit. For the identity
+    columns the column gradient is dx, reshaped.
     """
     c, h, w = x.shape
-    same = _is_same(k, stride, pad)
-    if same and k == 1:
+    if k == 1 and stride == 1 and pad == 0:
         return dcol.reshape(c, h, w)
     dcol = dcol.reshape(c, k, k, ho, wo)
-    if same:
-        dx = np.zeros((c, h, w), dtype=x.dtype)
-        for ky, kx, out_win, in_win in _same_taps(k, h, w):
-            dx[in_win] += dcol[:, ky, kx][out_win]
-        return dx
-    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    for ky in range(k):
-        for kx in range(k):
-            dxp[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += dcol[:, ky, kx]
-    return dxp[:, pad:pad + h, pad:pad + w] if pad else dxp
+    dx = np.zeros((c, h, w), dtype=x.dtype)
+    for ky, kx, out_win, in_win in _taps(k, stride, pad, h, w, ho, wo):
+        dx[in_win] += dcol[:, ky, kx][out_win]
+    return dx
 
 
 def conv2d(x, p):

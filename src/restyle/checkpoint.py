@@ -16,6 +16,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -67,15 +68,17 @@ def loads(data: bytes):
             pos += 1
             dims = struct.unpack_from(f"<{rank}I", data, pos)
             pos += 4 * rank
-            size = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            nbytes = 4 * size
-            if pos + nbytes > len(data):
-                raise CheckpointError(f"truncated data for {name!r}")
-            arr = np.frombuffer(data[pos:pos + nbytes], dtype="<f4").reshape(dims)
-            pos += nbytes
         except (struct.error, UnicodeDecodeError) as exc:
             raise CheckpointError(f"bad entry table (truncated, or a name not UTF-8): "
                                   f"{exc}") from exc
+        nbytes = 4 * math.prod(dims)  # Python ints: no wrap-around
+        if pos + nbytes > len(data):
+            raise CheckpointError(f"truncated data for {name!r}")
+        try:
+            arr = np.frombuffer(data[pos:pos + nbytes], dtype="<f4").reshape(dims)
+        except ValueError as exc:  # rank beyond what numpy supports
+            raise CheckpointError(f"bad shape {dims} for {name!r}: {exc}") from exc
+        pos += nbytes
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         out[name] = np.ascontiguousarray(arr)

@@ -43,8 +43,8 @@ class RunConfig:
         if len(self.lambda_ps) != self.levels:
             raise ConfigError(f"lambda_ps needs {self.levels} values, got {len(self.lambda_ps)}")
         need = 8 * 2 ** (self.levels - 1)
-        if self.image_size % need:
-            raise ConfigError(f"image_size {self.image_size} not divisible by {need}")
+        if self.image_size < need or self.image_size % need:
+            raise ConfigError(f"image_size {self.image_size} not positive and divisible by {need}")
         if not all(c > 0 for c in self.channels):
             raise ConfigError("channels must be positive")
         if self.steps < 0 or self.batch < 1:
@@ -54,12 +54,10 @@ class RunConfig:
         return self
 
 
-_INT_KEYS = {"seed", "image_size", "levels", "steps", "batch", "content_count", "style_count"}
-_FLOAT_KEYS = {"lr", "lambda_pc", "lambda_tv", "zero_pair_weight"}
-_INT_TUPLE_KEYS = {"channels"}
-_FLOAT_TUPLE_KEYS = {"lambda_ps"}
-_STR_KEYS = {"model_dir"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _INT_TUPLE_KEYS | _FLOAT_TUPLE_KEYS | _STR_KEYS
+_PARSERS = {"int": int, "float": float, "str": str,
+            "tuple[int, ...]": lambda v: tuple(int(x) for x in v.split(",")),
+            "tuple[float, ...]": lambda v: tuple(float(x) for x in v.split(","))}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -73,21 +71,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _ALL_KEYS:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _INT_TUPLE_KEYS:
-                values[key] = tuple(int(v) for v in val.split(","))
-            elif key in _FLOAT_TUPLE_KEYS:
-                values[key] = tuple(float(v) for v in val.split(","))
-            else:
-                values[key] = val
+            values[key] = _FIELD_PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return RunConfig(**values).validate()

@@ -95,6 +95,19 @@ def _reserve_passthrough(weight, c_in_passthrough):
         w[c, c, k // 2, k // 2] = 1.0
 
 
+def rescale_to_rms(param: Tensor, outputs, target=1.0):
+    """Scale `param` so the outputs it controls linearly have `target` RMS.
+
+    The RMS is taken in float64 over all outputs together; the parameter and
+    the outputs are multiplied by the same float32 factor, and the rescaled
+    outputs are returned (untracked) for the next site to run on.
+    """
+    rms = np.sqrt(np.mean([np.mean(o.data.astype(np.float64) ** 2) for o in outputs]))
+    factor = np.float32(target / max(float(rms), 1e-8))
+    param.data = param.data * factor
+    return [Tensor(o.data * factor) for o in outputs]
+
+
 def make_encoder(seed, channels=DEFAULT_CHANNELS):
     """Seeded fixed encoder.
 
@@ -123,12 +136,8 @@ def make_encoder(seed, channels=DEFAULT_CHANNELS):
     # second conv of a stage scales the whole stage output linearly
     probes = [Tensor(to_chw(img)) for img in _calibration_images(rng)]
     for i, stage in enumerate(stages):
-        probes = [_stage_forward(x, stage, pool=i > 0) for x in probes]
-        rms = float(np.sqrt(np.mean([np.mean(x.data.astype(np.float64) ** 2)
-                                     for x in probes])))
-        factor = 1.0 / max(rms, 1e-8)
-        stage[1].weight.data *= np.float32(factor)
-        probes = [Tensor(x.data * np.float32(factor)) for x in probes]
+        probes = rescale_to_rms(stage[1].weight,
+                                [_stage_forward(x, stage, pool=i > 0) for x in probes])
     return Encoder(stages=stages, channels=tuple(channels))
 
 
@@ -179,6 +188,33 @@ def errors_between(target_content_feat, target_style_grams, current: FeatureStac
     return ErrorBundle(content=content, style=style)
 
 
+def mix_bundles(a: ErrorBundle, b: ErrorBundle, alpha: float) -> ErrorBundle:
+    """Per-component linear interpolation: alpha*a + (1-alpha)*b."""
+
+    def mix(x, y):
+        return ad.add(ad.scale(x, alpha), ad.scale(y, 1.0 - alpha))
+
+    return ErrorBundle(content=mix(a.content, b.content),
+                       style=tuple(mix(x, y) for x, y in zip(a.style, b.style)))
+
+
+def pair_errors(content, style, current, enc: Encoder,
+                alpha: float | None = None) -> tuple[ErrorBundle, FeatureStack]:
+    """Error bundle of `current` toward (content, style), plus current's features.
+
+    Each image is encoded once. With `alpha` the bundle is mixed with the
+    errors toward the content's own Grams, alpha*style + (1-alpha)*content:
+    the runtime style-strength trade-off.
+    """
+    f_in = encode(current, enc)
+    c_stack = encode(content, enc)
+    bundle = errors_between(c_stack.stages[-1], gram_stack(encode(style, enc)), f_in)
+    if alpha is not None:
+        toward_content = errors_between(c_stack.stages[-1], gram_stack(c_stack), f_in)
+        bundle = mix_bundles(bundle, toward_content, alpha)
+    return bundle, f_in
+
+
 def compute_errors(target_c, target_s, current, enc: Encoder) -> ErrorBundle:
     """Content error at the deepest stage and style Gram deltas at every stage.
 
@@ -190,10 +226,7 @@ def compute_errors(target_c, target_s, current, enc: Encoder) -> ErrorBundle:
     if tc.shape != ts.shape or tc.shape != cur.shape:
         raise ContractError(
             f"compute_errors: image shapes differ: {tc.shape}, {ts.shape}, {cur.shape}")
-    current_stack = encode(cur, enc)
-    target_feat4 = encode(tc, enc).stages[-1]
-    target_grams = gram_stack(encode(ts, enc))
-    return errors_between(target_feat4, target_grams, current_stack)
+    return pair_errors(tc, ts, cur, enc)[0]
 
 
 def fuse(content_err: Tensor, w: Tensor, style_err: Tensor) -> Tensor:

@@ -39,6 +39,8 @@ def load_ppm(data: bytes) -> np.ndarray:
             pos += 1
         if pos == start:
             raise PpmParseError(f"expected {what}", start)
+        if pos - start > 12:
+            raise PpmParseError(f"{what} has {pos - start} digits, at most 12 allowed", start)
         return int(data[start:pos])
 
     if data[:2] != b"P6":

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .encoder import Encoder, ErrorBundle, encode, errors_between, gram_stack
+from .encoder import Encoder, mix_bundles  # noqa: F401 (re-exported)
 from .errors import ContractError
 from .images import build_level_inputs, from_chw, upsample
 from .transition import LevelParams, etnet_forward
@@ -38,32 +37,13 @@ class StylizeResult:
 
 
 def refine_level(icing, content, style, params: LevelParams, enc: Encoder,
-                 bundle: ErrorBundle | None = None) -> np.ndarray:
+                 alpha: float | None = None) -> np.ndarray:
     """One refinement: clamp(estimate + residual) at a single level."""
     if icing.shape != content.shape or icing.shape != style.shape:
         raise ContractError(f"refine_level: resolution mismatch {icing.shape} vs "
                             f"{content.shape} vs {style.shape}")
-    residual = etnet_forward(content, style, icing, params, enc, bundle=bundle)
+    residual = etnet_forward(content, style, icing, params, enc, alpha)
     return np.clip(icing + from_chw(residual.data), 0.0, 1.0).astype(np.float32)
-
-
-def mix_bundles(a: ErrorBundle, b: ErrorBundle, alpha: float) -> ErrorBundle:
-    """Per-component linear interpolation: alpha*a + (1-alpha)*b."""
-
-    def mix(x, y):
-        return ad.add(ad.scale(x, alpha), ad.scale(y, 1.0 - alpha))
-
-    return ErrorBundle(content=mix(a.content, b.content),
-                       style=tuple(mix(x, y) for x, y in zip(a.style, b.style)))
-
-
-def _level_bundle(content, style, icing, enc, alpha):
-    """Mixed error bundle for the style-strength trade-off at one level."""
-    f_in = encode(icing, enc)
-    c_stack = encode(content, enc)
-    toward_style = errors_between(c_stack.stages[-1], gram_stack(encode(style, enc)), f_in)
-    toward_content = errors_between(c_stack.stages[-1], gram_stack(c_stack), f_in)
-    return mix_bundles(toward_style, toward_content, alpha)
 
 
 def _walk(icing, pairs, start, model: PyramidModel, alpha=None) -> StylizeResult:
@@ -72,11 +52,7 @@ def _walk(icing, pairs, start, model: PyramidModel, alpha=None) -> StylizeResult
     intermediates = []
     for idx in range(start, k):
         c_k, s_k = pairs[idx]
-        bundle = None
-        if alpha is not None:
-            bundle = _level_bundle(c_k, s_k, icing, model.encoder, alpha)
-        out = refine_level(icing, c_k, s_k, model.levels[k - idx - 1], model.encoder,
-                           bundle=bundle)
+        out = refine_level(icing, c_k, s_k, model.levels[k - idx - 1], model.encoder, alpha)
         intermediates.append(out)
         if idx + 1 < k:
             icing = upsample(out)

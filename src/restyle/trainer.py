@@ -31,7 +31,7 @@ from .autodiff import Tensor
 from .config import RunConfig, format_config, load_config
 from .corpus import CorpusSpec, make_corpus
 from .encoder import Encoder, ErrorBundle, FeatureStack, _as_image_tensor, encode, \
-    errors_between, gram_stack, make_encoder
+    errors_between, gram_stack, make_encoder, pair_errors, rescale_to_rms
 from .errors import ConfigError, ContractError, TrainingDiverged
 from .images import downsample, upsample
 from .stylizer import PyramidModel, refine_level, stylize
@@ -331,17 +331,6 @@ IDENTITY_PAIR_PERIOD = 3
 RESIDUAL_INIT_RMS = 0.1
 
 
-def _rms_of(tensors):
-    return float(np.sqrt(np.mean([np.mean(t.data.astype(np.float64) ** 2) for t in tensors])))
-
-
-def _rescale(param_tensor, outputs, target=1.0):
-    """Scale a parameter so the op outputs it controls have `target` RMS."""
-    factor = target / max(_rms_of(outputs), 1e-8)
-    param_tensor.data = param_tensor.data * np.float32(factor)
-    return [Tensor(o.data * np.float32(factor)) for o in outputs]
-
-
 def _calibrate_level(params: LevelParams, cfg: RunConfig, level: int, enc: Encoder,
                      contents, styles):
     """Unit-RMS calibration of every fusion/conv site on probe pairs.
@@ -362,32 +351,29 @@ def _calibrate_level(params: LevelParams, cfg: RunConfig, level: int, enc: Encod
             icing = np.zeros_like(c)  # the coarsest level starts from zero
         else:
             icing = ((c + s) / 2).astype(np.float32)
-        f_in = encode(icing, enc)
-        target4 = encode(c, enc).stages[-1]
-        grams = gram_stack(encode(s, enc))
-        cases.append((errors_between(target4, grams, f_in), f_in))
+        cases.append(pair_errors(c, s, icing, enc))
 
-    errs = _rescale(params.fuse_w,
-                    [fuse(b.content, params.fuse_w, b.style[-1]) for b, _ in cases])
-    ds = _rescale(params.nonlocal_.psi_h.weight,
-                  [nonlocal_block(e, fi.stages[-1], params.nonlocal_)
-                   for e, (_, fi) in zip(errs, cases)])
+    errs = rescale_to_rms(params.fuse_w,
+                          [fuse(b.content, params.fuse_w, b.style[-1]) for b, _ in cases])
+    ds = rescale_to_rms(params.nonlocal_.psi_h.weight,
+                        [nonlocal_block(e, fi.stages[-1], params.nonlocal_)
+                         for e, (_, fi) in zip(errs, cases)])
     n = len(params.channels)
     for idx, block in enumerate(params.blocks):
         finer = n - 2 - idx
-        fused = _rescale(block.psi,
-                         [fuse(ad.conv2d(ad.upsample_nearest2x(e), block.phi_t), block.psi,
-                               b.style[finer])
-                          for e, (b, _) in zip(errs, cases)])
-        errs = _rescale(block.phi_u.weight,
-                        [ad.relu(ad.conv2d(x, block.phi_u)) for x in fused])
+        fused = rescale_to_rms(block.psi,
+                               [fuse(ad.conv2d(ad.upsample_nearest2x(e), block.phi_t),
+                                     block.psi, b.style[finer])
+                                for e, (b, _) in zip(errs, cases)])
+        errs = rescale_to_rms(block.phi_u.weight,
+                              [ad.relu(ad.conv2d(x, block.phi_u)) for x in fused])
         merged = [ad.concat_channels([ad.conv2d(ad.upsample_nearest2x(d), block.phi_v),
                                       fi.stages[finer], x])
                   for d, (_, fi), x in zip(ds, cases, fused)]
-        ds = _rescale(block.phi_w.weight,
-                      [ad.relu(ad.conv2d(m, block.phi_w)) for m in merged])
-    _rescale(params.head.weight, [ad.conv2d(d, params.head) for d in ds],
-             target=RESIDUAL_INIT_RMS)
+        ds = rescale_to_rms(block.phi_w.weight,
+                            [ad.relu(ad.conv2d(m, block.phi_w)) for m in merged])
+    rescale_to_rms(params.head.weight, [ad.conv2d(d, params.head) for d in ds],
+                   target=RESIDUAL_INIT_RMS)
 
 
 def init_level_params(cfg: RunConfig, level: int, enc: Encoder | None = None,
@@ -448,9 +434,12 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
         means = sums / cfg.batch
         if not np.all(np.isfinite(means)):
             raise TrainingDiverged(f"level {level} step {step}: non-finite loss {means}")
-        for t in params.tensors():
+        for name, t in params.named_tensors().items():
             if t.grad is not None:
                 t.grad /= cfg.batch
+                if not np.all(np.isfinite(t.grad)):
+                    raise TrainingDiverged(f"level {level} step {step}: non-finite gradient "
+                                           f"in {name}")
         opt.step(cosine_lr(cfg.lr, step, cfg.steps))
         cells = "\t".join(repr(float(v)) for v in means)
         log_lines.append(f"{step}\t{cells}")

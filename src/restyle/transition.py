@@ -19,8 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ConvParams, Tensor, load_state  # noqa: F401 (re-exported)
-from .encoder import (Encoder, ErrorBundle, FeatureStack, encode, errors_between, fuse,
-                      gram_stack)
+from .encoder import Encoder, ErrorBundle, FeatureStack, fuse, pair_errors
 from .errors import ContractError
 
 
@@ -179,17 +178,13 @@ def run_decoder(bundle: ErrorBundle, f_in: FeatureStack, params: LevelParams):
 
 
 def etnet_forward(content_img, style_img, current_img, params: LevelParams,
-                  enc: Encoder, bundle: ErrorBundle | None = None) -> Tensor:
+                  enc: Encoder, alpha: float | None = None) -> Tensor:
     """Full transition network: images in, signed (3, H, W) residual out.
 
     The current stylization is encoded once; its features serve both the
-    error computation and the decoder input. An explicit `bundle` overrides
-    the internally computed errors (used for runtime style interpolation).
+    error computation and the decoder input. `alpha` mixes the errors for the
+    runtime style-strength trade-off (see `encoder.pair_errors`).
     """
-    f_in = encode(current_img, enc)
-    if bundle is None:
-        target_feat4 = encode(content_img, enc).stages[-1]
-        target_grams = gram_stack(encode(style_img, enc))
-        bundle = errors_between(target_feat4, target_grams, f_in)
+    bundle, f_in = pair_errors(content_img, style_img, current_img, enc, alpha)
     residual, _ = run_decoder(bundle, f_in, params)
     return residual

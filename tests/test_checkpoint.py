@@ -1,5 +1,7 @@
 """Checkpoint wire-format tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,19 @@ class TestErrors:
         blob[14] = 0xFF  # the name's only byte, after magic, version, count, name_len
         with pytest.raises(CheckpointError, match="UTF-8"):
             checkpoint.loads(bytes(blob))
+
+    def test_entry_size_does_not_wrap(self):
+        # 65536^4 floats: 2^66 bytes, which wraps to 0 in 64-bit arithmetic
+        blob = b"ETNT" + struct.pack("<IIHB4I", 1, 1, 0, 4, *[65536] * 4)
+        assert len(blob) == 31
+        with pytest.raises(CheckpointError, match="truncated"):
+            checkpoint.loads(blob)
+
+    def test_rank_beyond_numpy(self):
+        blob = (b"ETNT" + struct.pack("<IIHB", 1, 1, 0, 65) + struct.pack("<65I", *[1] * 65)
+                + bytes(4))
+        with pytest.raises(CheckpointError, match="shape"):
+            checkpoint.loads(blob)
 
 
 class TestAtomicWrite:

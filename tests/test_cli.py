@@ -88,6 +88,25 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "seed" in err
 
+    @pytest.mark.parametrize("size", [0, -96])
+    def test_non_positive_image_size_exits_2(self, tmp_path, capsys, size):
+        cfg_path = tmp_path / "size.cfg"
+        cfg_path.write_text(TINY.format(dir=tmp_path / "m")
+                            .replace("image_size = 32", f"image_size = {size}"))
+        assert main(["train", "--config", str(cfg_path), "--level", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "image_size" in err
+
+    def test_non_finite_gradient_exits_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "huge.cfg"
+        # one step: the losses are finite, so only the gradient check can stop it
+        cfg_path.write_text(TINY.format(dir=tmp_path / "m").replace("steps = 2", "steps = 1")
+                            + "lambda_pc = 1e39\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(cfg_path), "--level", "2"]) == 3
+        assert capsys.readouterr().err.startswith("error: numeric:")
+        assert not (tmp_path / "m" / "level2.ckpt").exists()
+
 
 class TestStylizeCommand:
     def test_roundtrip_and_intermediates(self, workdir):

@@ -43,6 +43,11 @@ class TestPpm:
             images.load_ppm(make_ppm(2, 2, [0] * 5))
         assert exc.value.offset > 0
 
+    def test_overlong_dimension(self):
+        # more digits than int() converts by default (4300)
+        with pytest.raises(PpmParseError, match="digits"):
+            images.load_ppm(b"P6\n" + b"9" * 5000 + b" 1\n255\n")
+
     def test_bad_maxval(self):
         with pytest.raises(PpmParseError):
             images.load_ppm(b"P6\n1 1\n65535\n" + bytes(6))

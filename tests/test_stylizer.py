@@ -1,8 +1,11 @@
 """Pyramid orchestration and runtime-application tests."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from restyle import encoder as enc_mod
 from restyle.encoder import compute_errors, make_encoder
 from restyle.errors import ContractError
 from restyle.stylizer import (PyramidModel, mix_bundles, refine_external, refine_level,
@@ -108,6 +111,27 @@ class TestStylizeAlpha:
             (toward_style.content.data + toward_content.content.data) / 2, atol=1e-6)
         for m, a, b in zip(mixed.style, toward_style.style, toward_content.style):
             np.testing.assert_allclose(m.data, (a.data + b.data) / 2, atol=1e-6)
+
+    def test_alpha_encodes_each_image_once_per_level(self, model, monkeypatch):
+        # estimate, content and style: 3 encoder passes per level, alpha or not
+        calls = []
+        original = enc_mod.encode
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("restyle") and mod is not None:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        counts = []
+        for alpha in (None, 0.5):
+            calls.clear()
+            stylize(rand_img(35, 32), rand_img(36, 32), model, alpha=alpha)
+            counts.append(len(calls))
+        assert counts == [9, 9]
 
     def test_alpha_out_of_range_raises(self, model):
         with pytest.raises(ContractError):

@@ -9,7 +9,7 @@ from restyle.autodiff import Tensor
 from restyle.config import RunConfig
 from restyle.corpus import CorpusSpec, make_corpus
 from restyle.encoder import encode, gram_stack, make_encoder
-from restyle.errors import ConfigError, ContractError
+from restyle.errors import ConfigError, ContractError, TrainingDiverged
 from restyle.images import downsample, to_chw
 from restyle.trainer import (Adam, LossWeights, TrainResult, combine_losses, content_loss,
                              cosine_lr, evaluate, init_level_params, recovering_clamp01,
@@ -246,6 +246,13 @@ class TestTrainLevel:
         cfg = tiny_config()
         with pytest.raises(ConfigError, match="level 2"):
             train_level(cfg, 1, enc, frozen={})
+
+    def test_non_finite_gradient_raises(self, enc):
+        # finite losses, but the float64 loss head's gradient overflows float32
+        cfg = tiny_config(steps=1, lambda_pc=1e39)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match="gradient"):
+                train_level(cfg, 2, enc, frozen={})
 
     def test_deterministic_runs(self, enc):
         cfg = tiny_config(steps=3)
