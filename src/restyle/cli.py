@@ -100,7 +100,7 @@ def cmd_gradcheck(args):
         if args.op not in known:
             raise ConfigError(f"unknown op {args.op!r}; choose from {sorted(known)}")
     results = gradcheck_mod.run_suite(names=names, report=print)
-    return 0 if results and all(ok for _, _, ok in results) else 1
+    return 0 if results and all(ok for _, _, ok in results) else 3
 
 
 def build_parser():
@@ -156,6 +156,12 @@ def main(argv=None):
         return 2
     except FileNotFoundError as exc:
         print(f"error: config: missing file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: file: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input: not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)

@@ -8,11 +8,18 @@ are spot-checked on a deterministic random subset of coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import ConvParams
+from .encoder import fuse, make_encoder
+from .trainer import LossWeights, content_loss, image_targets, sample_objective, style_loss, \
+    tv_loss
+from .transition import NonLocalParams, PropagationBlockParams, etnet_forward, \
+    make_level_params, nonlocal_block, propagation_block
 
 EPS = 1e-3
 TOL = 1e-4
@@ -25,6 +32,33 @@ def projection(rng, shape):
 
 def scalarize(out, proj):
     return ad.sum_all(ad.mul(out, proj))
+
+
+def _leaf(rng, shape, scale):
+    return ad.Tensor(rng.standard_normal(shape) * scale, requires_grad=True, dtype=np.float64)
+
+
+def _outputs(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+def case(fn, *specs):
+    """`check_gradients` builder of `fn` over standard-normal float64 leaves.
+
+    Each spec is a `(shape, scale)` pair; the leaves are drawn in `specs`
+    order and passed to `fn` in that order. One projection per output of
+    `fn` is drawn next, and the scalar is the sum of the projected outputs.
+    """
+    def build(rng):
+        leaves = [_leaf(rng, shape, scale) for shape, scale in specs]
+        projs = [projection(rng, out.shape) for out in _outputs(fn(*leaves))]
+
+        def forward():
+            terms = [scalarize(out, p) for out, p in zip(_outputs(fn(*leaves)), projs)]
+            return functools.reduce(ad.add, terms)
+
+        return leaves, forward
+    return build
 
 
 def rel_error(analytic, numeric, floor=1e-6):
@@ -87,145 +121,56 @@ def _central(forward, flat, i, eps):
     return (up - down) / (2 * eps)
 
 
-def run_case(name, build, seeds, eps=EPS, tol=TOL, max_coords=None):
-    """Check one op over several seeded instances; returns (worst_err, passed)."""
-    worst = 0.0
-    for seed in seeds:
-        worst = max(worst, check_gradients(build, seed, eps=eps, max_coords=max_coords))
-    return worst, worst < tol
-
-
 # ---------------------------------------------------------------------------
 # standard suite covering every differentiable operation
+
+SEEDS = (0, 1, 2, 3, 4)
+
 
 @dataclass
 class GradCase:
     name: str
     build: object
-    seeds: tuple = (0, 1, 2, 3, 4)
     max_coords: int | None = None
 
 
-def _leaf(rng, shape, scale=1.0):
-    return ad.Tensor(rng.standard_normal(shape) * scale, requires_grad=True, dtype=np.float64)
+def _conv2d(x, w, b):
+    return ad.conv2d(x, ConvParams(weight=w, bias=b, padding=1))
 
 
-def _build_conv2d(rng):
-    from .autodiff import ConvParams
-    x = _leaf(rng, (3, 6, 6))
-    w = _leaf(rng, (4, 3, 3, 3), scale=1 / np.sqrt(27))
-    b = _leaf(rng, (4,), scale=0.1)
-    proj = projection(rng, (4, 6, 6))
-
-    def forward():
-        return scalarize(ad.conv2d(x, ConvParams(weight=w, bias=b, padding=1)), proj)
-
-    return [x, w, b], forward
+def _nonlocal(wh, wu, wg, err, f_in):
+    p = NonLocalParams(psi_h=ConvParams(weight=wh), psi_u=ConvParams(weight=wu),
+                       psi_g=ConvParams(weight=wg))
+    return nonlocal_block(err, f_in, p)
 
 
-def _unary_builder(op, shape):
-    def build(rng):
-        x = _leaf(rng, shape)
-        out_shape = op(ad.Tensor(np.zeros(shape), dtype=np.float64)).shape
-        proj = projection(rng, out_shape)
-
-        def forward():
-            return scalarize(op(x), proj)
-
-        return [x], forward
-    return build
+def _propagation(wt, psi, wu, wv, ww, err, d, f_in, sd):
+    p = PropagationBlockParams(
+        phi_t=ConvParams(weight=wt), psi=psi,
+        phi_u=ConvParams(weight=wu, padding=1),
+        phi_v=ConvParams(weight=wv),
+        phi_w=ConvParams(weight=ww, padding=1))
+    return propagation_block(err, d, f_in, sd, p)
 
 
-def _build_matmul(rng):
-    a = _leaf(rng, (4, 3))
-    b = _leaf(rng, (3, 5))
-    proj = projection(rng, (4, 5))
-
-    def forward():
-        return scalarize(ad.matmul(a, b), proj)
-
-    return [a, b], forward
-
-
-def _build_fuse(rng):
-    from .encoder import fuse
-    content = _leaf(rng, (3, 2, 3))
-    w = _leaf(rng, (3, 3), scale=0.5)
-    style = _leaf(rng, (3, 3), scale=0.5)
-    proj = projection(rng, (3, 2, 3))
-
-    def forward():
-        return scalarize(fuse(content, w, style), proj)
-
-    return [content, w, style], forward
-
-
-def _build_nonlocal(rng):
-    from .autodiff import ConvParams
-    from .transition import NonLocalParams, nonlocal_block
-    c = 3
-    wh, wu, wg = (_leaf(rng, (c, c, 1, 1)) for _ in range(3))
-    err = _leaf(rng, (c, 2, 3))
-    f_in = _leaf(rng, (c, 2, 3))
-    proj = projection(rng, (c, 2, 3))
-
-    def forward():
-        p = NonLocalParams(psi_h=ConvParams(weight=wh), psi_u=ConvParams(weight=wu),
-                           psi_g=ConvParams(weight=wg))
-        return scalarize(nonlocal_block(err, f_in, p), proj)
-
-    return [wh, wu, wg, err, f_in], forward
-
-
-def _build_propagation(rng):
-    from .autodiff import ConvParams
-    from .transition import PropagationBlockParams, propagation_block
-    c_i, c_prev = 4, 3
-
-    def conv_leaf(c_in, c_out, k):
-        return _leaf(rng, (c_out, c_in, k, k), scale=1 / np.sqrt(c_in * k * k))
-
-    wt = conv_leaf(c_i, c_prev, 1)
-    psi = _leaf(rng, (c_prev, c_prev), scale=0.5)
-    wu = conv_leaf(c_prev, c_prev, 3)
-    wv = conv_leaf(c_i, c_prev, 1)
-    ww = conv_leaf(3 * c_prev, c_prev, 3)
-    err = _leaf(rng, (c_i, 2, 2))
-    d = _leaf(rng, (c_i, 2, 2))
-    f_in = _leaf(rng, (c_prev, 4, 4))
-    sd = _leaf(rng, (c_prev, c_prev), scale=0.5)
-    proj_e = projection(rng, (c_prev, 4, 4))
-    proj_d = projection(rng, (c_prev, 4, 4))
-
-    def forward():
-        p = PropagationBlockParams(
-            phi_t=ConvParams(weight=wt), psi=psi,
-            phi_u=ConvParams(weight=wu, padding=1),
-            phi_v=ConvParams(weight=wv),
-            phi_w=ConvParams(weight=ww, padding=1))
-        e, dd = propagation_block(err, d, f_in, sd, p)
-        return ad.add(scalarize(e, proj_e), scalarize(dd, proj_d))
-
-    return [wt, psi, wu, wv, ww, err, d, f_in, sd], forward
+def _conv_spec(c_in, c_out, k):
+    return (c_out, c_in, k, k), 1 / np.sqrt(c_in * k * k)
 
 
 _SMALL_CHANNELS = (4, 6, 8, 10)
 
 
 def _shadow_encoder():
-    from .encoder import make_encoder
     return make_encoder(seed=3, channels=_SMALL_CHANNELS).astype(np.float64)
 
 
 def _build_tv(rng):
-    from .trainer import tv_loss
     x = ad.Tensor(rng.random((2, 4, 5)), requires_grad=True, dtype=np.float64)
     return [x], lambda: tv_loss(x)
 
 
 def _loss_builder(which):
     def build(rng):
-        from .trainer import content_loss, style_loss
         enc = _shadow_encoder()
         cs = ad.Tensor(rng.random((3, 16, 16)), requires_grad=True, dtype=np.float64)
         ref = ad.Tensor(rng.random((3, 16, 16)), dtype=np.float64)
@@ -242,8 +187,6 @@ def _build_training_objective(rng):
     """`sample_objective` in every level parameter. The estimate is drawn from
     [0.3, 0.7], where the small initial residual keeps the recovering clamp the
     identity; outside [0, 1] its gradient is by design not a derivative."""
-    from .trainer import LossWeights, image_targets, sample_objective
-    from .transition import make_level_params
     enc = _shadow_encoder()
     params = make_level_params(seed=12, channels=_SMALL_CHANNELS).astype(np.float64)
     weights = LossWeights(style_per_level=(1.0, 5.0))
@@ -259,7 +202,6 @@ def _build_training_objective(rng):
 
 
 def _build_etnet(rng):
-    from .transition import etnet_forward, make_level_params
     enc = _shadow_encoder()
     params = make_level_params(seed=12, channels=_SMALL_CHANNELS).astype(np.float64)
     leaves = params.tensors()
@@ -279,15 +221,19 @@ def _build_etnet(rng):
 def standard_suite():
     """Every differentiable operation, checked over >= 5 seeded instances."""
     return [
-        GradCase("conv2d", _build_conv2d),
-        GradCase("avgpool2x", _unary_builder(ad.avgpool2x, (2, 4, 6))),
-        GradCase("upsample_nearest2x", _unary_builder(ad.upsample_nearest2x, (2, 3, 3))),
-        GradCase("matmul", _build_matmul),
-        GradCase("softmax_rows", _unary_builder(ad.softmax_rows, (4, 6))),
-        GradCase("gram", _unary_builder(ad.gram, (3, 4, 4))),
-        GradCase("fuse", _build_fuse),
-        GradCase("nonlocal_block", _build_nonlocal),
-        GradCase("propagation_block", _build_propagation),
+        GradCase("conv2d", case(_conv2d, ((3, 6, 6), 1.0), _conv_spec(3, 4, 3), ((4,), 0.1))),
+        GradCase("avgpool2x", case(ad.avgpool2x, ((2, 4, 6), 1.0))),
+        GradCase("upsample_nearest2x", case(ad.upsample_nearest2x, ((2, 3, 3), 1.0))),
+        GradCase("matmul", case(ad.matmul, ((4, 3), 1.0), ((3, 5), 1.0))),
+        GradCase("softmax_rows", case(ad.softmax_rows, ((4, 6), 1.0))),
+        GradCase("gram", case(ad.gram, ((3, 4, 4), 1.0))),
+        GradCase("fuse", case(fuse, ((3, 2, 3), 1.0), ((3, 3), 0.5), ((3, 3), 0.5))),
+        GradCase("nonlocal_block", case(_nonlocal, *[((3, 3, 1, 1), 1.0)] * 3,
+                                        ((3, 2, 3), 1.0), ((3, 2, 3), 1.0))),
+        GradCase("propagation_block", case(
+            _propagation, _conv_spec(4, 3, 1), ((3, 3), 0.5), _conv_spec(3, 3, 3),
+            _conv_spec(4, 3, 1), _conv_spec(9, 3, 3), ((4, 2, 2), 1.0), ((4, 2, 2), 1.0),
+            ((3, 4, 4), 1.0), ((3, 3), 0.5))),
         GradCase("content_loss", _loss_builder("content"), max_coords=48),
         GradCase("style_loss", _loss_builder("style"), max_coords=48),
         GradCase("tv_loss", _build_tv),
@@ -303,11 +249,12 @@ def run_suite(names=None, report=None):
     line of text per case as results arrive.
     """
     results = []
-    for case in standard_suite():
-        if names and case.name not in names:
+    for gc in standard_suite():
+        if names and gc.name not in names:
             continue
-        worst, ok = run_case(case.name, case.build, case.seeds, max_coords=case.max_coords)
-        results.append((case.name, worst, ok))
+        worst = max(check_gradients(gc.build, seed, max_coords=gc.max_coords) for seed in SEEDS)
+        ok = worst < TOL
+        results.append((gc.name, worst, ok))
         if report:
-            report(f"{'PASS' if ok else 'FAIL'} {case.name}: max relative error {worst:.3e}")
+            report(f"{'PASS' if ok else 'FAIL'} {gc.name}: max relative error {worst:.3e}")
     return results

@@ -101,6 +101,15 @@ def upsample(img: np.ndarray) -> np.ndarray:
     return out.reshape(2 * h, 2 * w, c)
 
 
+def pyramid(img, levels):
+    """[level 1, ..., level `levels`] versions of img: level 1 is img itself,
+    each further level the `downsample` of the one before."""
+    chain = [img]
+    for _ in range(levels - 1):
+        chain.append(downsample(chain[-1]))
+    return chain
+
+
 def build_level_inputs(content, style, levels=3):
     """Per-level (content, style) pairs, coarsest (level `levels`) first.
 
@@ -116,12 +125,7 @@ def build_level_inputs(content, style, levels=3):
     div = 2 ** (levels - 1)
     if h % div or w % div:
         raise ContractError(f"build_level_inputs: {h}x{w} not divisible by {div}")
-    pairs = [(content, style)]
-    for _ in range(levels - 1):
-        c, s = pairs[-1]
-        pairs.append((downsample(c), downsample(s)))
-    pairs.reverse()
-    return pairs
+    return list(zip(pyramid(content, levels), pyramid(style, levels)))[::-1]
 
 
 def to_chw(img: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Coarse-to-fine stylization over an image pyramid, plus runtime knobs.
 
-The pyramid starts from an all-zero estimate at the coarsest level. Each
-level's transition network predicts a signed residual which is added to the
-running estimate and clamped back to [0,1]; the result is upsampled and
-handed to the next finer level.
+The coarsest level starts from `start_estimate` (all zeros), the one place
+the initial estimate is chosen: stylization, training's frozen prefix and
+level calibration all call it. Each level's transition network predicts a
+signed residual which is added to the running estimate and clamped back to
+[0,1]; the result is upsampled and handed to the next finer level.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ def refine_level(icing, content, style, params: LevelParams, enc: Encoder,
     return np.clip(icing + from_chw(residual.data), 0.0, 1.0).astype(np.float32)
 
 
+def start_estimate(coarsest_content):
+    """The estimate the coarsest level refines: all zeros, shaped like its content."""
+    return np.zeros_like(coarsest_content)
+
+
 def _walk(icing, pairs, start, model: PyramidModel, alpha=None) -> StylizeResult:
     """Refine from pairs[start] to the finest level, upsampling between levels."""
     k = model.depth
@@ -72,7 +78,7 @@ def stylize(content, style, model: PyramidModel, alpha: float | None = None) -> 
     if h % need or w % need:
         raise ContractError(f"stylize: dimensions {h}x{w} must be divisible by {need}")
     pairs = build_level_inputs(content, style, levels=k)
-    return _walk(np.zeros_like(pairs[0][0]), pairs, 0, model, alpha)
+    return _walk(start_estimate(pairs[0][0]), pairs, 0, model, alpha)
 
 
 def stylize_alpha(content, style, model: PyramidModel, alpha: float) -> StylizeResult:

@@ -33,8 +33,8 @@ from .corpus import CorpusSpec, make_corpus
 from .encoder import Encoder, ErrorBundle, FeatureStack, _as_image_tensor, encode, \
     errors_between, gram_stack, make_encoder, pair_errors, rescale_to_rms
 from .errors import ConfigError, ContractError, TrainingDiverged
-from .images import downsample, upsample
-from .stylizer import PyramidModel, refine_level, stylize
+from .images import pyramid, upsample
+from .stylizer import PyramidModel, refine_level, start_estimate, stylize
 from .transition import LevelParams, make_level_params, run_decoder
 
 
@@ -184,14 +184,20 @@ class LevelTargets(NamedTuple):
     style_deep_grams: list[Tensor]        # deepest style Gram at each coarser level
 
 
+def level_targets(c_feats, s_feats) -> LevelTargets:
+    """Targets from per-level (stack, grams) of the content and of the style,
+    this level first, then each coarser one."""
+    return LevelTargets(content_stack=c_feats[0][0],
+                        content_deep=[stack.stages[-1] for stack, _ in c_feats],
+                        style_grams=s_feats[0][1],
+                        style_deep_grams=[grams[-1] for _, grams in s_feats[1:]])
+
+
 def image_targets(content, style, count, enc) -> LevelTargets:
     """Targets of a (content, style) pair over `count` levels, pooling the images."""
-    c_stacks = _stack_chain(content, count, enc)
-    s_stacks = _stack_chain(style, count, enc)
-    return LevelTargets(content_stack=c_stacks[0],
-                        content_deep=[st.stages[-1] for st in c_stacks],
-                        style_grams=gram_stack(s_stacks[0]),
-                        style_deep_grams=[ad.gram(st.stages[-1]) for st in s_stacks[1:]])
+    c_feats, s_feats = ([(st, gram_stack(st)) for st in _stack_chain(img, count, enc)]
+                        for img in (content, style))
+    return level_targets(c_feats, s_feats)
 
 
 def level_objective(stylized, targets: LevelTargets, level, enc, weights: LossWeights,
@@ -248,17 +254,19 @@ def total_loss(stylized, content, style, level, depth, enc, weights: LossWeights
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, tensors, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, tensors):
         self.tensors = list(tensors)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(t.data) for t in self.tensors]
         self.v = [np.zeros_like(t.data) for t in self.tensors]
         self.t = 0
 
     def step(self, lr):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for tensor, m, v in zip(self.tensors, self.m, self.v):
@@ -269,7 +277,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
             tensor.data = tensor.data - np.float32(lr) * update
 
     def zero_grad(self):
@@ -287,31 +295,30 @@ def cosine_lr(base, step, total):
 # cached encoder targets
 
 class TargetCache:
-    """Lazy per-(image, level) encoder stacks and Gram tables (untracked)."""
+    """Lazy per-(image, level) pyramids, encoder stacks and Gram tables
+    (untracked) of a corpus. An image is keyed by (role, idx): role "c" is
+    `contents[idx]`, role "s" is `styles[idx]`."""
 
-    def __init__(self, enc: Encoder, depth: int):
+    def __init__(self, enc: Encoder, depth: int, contents, styles):
         self.enc = enc
         self.depth = depth
+        self._corpus = {"c": contents, "s": styles}
         self._images = {}
         self._feats = {}
 
-    def level_images(self, role, idx, img):
+    def level_images(self, role, idx):
+        """`pyramid` of the image: index j-1 holds its level-j version."""
         key = (role, idx)
         if key not in self._images:
-            chain = [img]
-            for _ in range(self.depth - 1):
-                chain.append(downsample(chain[-1]))
-            self._images[key] = chain  # index j-1 = level j image
+            self._images[key] = pyramid(self._corpus[role][idx], self.depth)
         return self._images[key]
 
-    def features(self, role, idx, img, level):
-        """(stack Tensors, gram Tensors) of the level-`level` version of img."""
+    def features(self, role, idx, level):
+        """(stack Tensors, gram Tensors) of the level-`level` version of the image."""
         key = (role, idx, level)
         if key not in self._feats:
-            level_img = self.level_images(role, idx, img)[level - 1]
-            stack = encode(level_img, self.enc)
-            grams = gram_stack(stack)
-            self._feats[key] = (stack, grams)
+            stack = encode(self.level_images(role, idx)[level - 1], self.enc)
+            self._feats[key] = (stack, gram_stack(stack))
         return self._feats[key]
 
 
@@ -344,11 +351,10 @@ def _calibrate_level(params: LevelParams, cfg: RunConfig, level: int, enc: Encod
 
     cases = []
     for i in range(4):
-        c, s = contents[i % len(contents)], styles[(i + 1) % len(styles)]
-        for _ in range(level - 1):
-            c, s = downsample(c), downsample(s)
+        c = pyramid(contents[i % len(contents)], level)[-1]
+        s = pyramid(styles[(i + 1) % len(styles)], level)[-1]
         if level == cfg.levels:
-            icing = np.zeros_like(c)  # the coarsest level starts from zero
+            icing = start_estimate(c)
         else:
             icing = ((c + s) / 2).astype(np.float32)
         cases.append(pair_errors(c, s, icing, enc))
@@ -408,12 +414,11 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
     for j, p in frozen.items():
         p.set_trainable(False)
     opt = Adam(params.tensors())
-    cache = TargetCache(enc, depth)
+    cache = TargetCache(enc, depth, contents, styles)
     rng = np.random.default_rng([cfg.seed, 100 + level])
     log_lines = []
     sample_counter = 0
 
-    images = {"c": contents, "s": styles}
     for step in range(cfg.steps):
         opt.zero_grad()
         sums = np.zeros(4)
@@ -422,15 +427,13 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
             si = int(rng.integers(len(styles)))
             if sample_counter % IDENTITY_PAIR_PERIOD == IDENTITY_PAIR_PERIOD - 1:
                 if (sample_counter // IDENTITY_PAIR_PERIOD) % 2 == 0:
-                    roles = ("c", ci, "c", ci)
+                    keys = ("c", ci), ("c", ci)
                 else:
-                    roles = ("s", si, "s", si)
+                    keys = ("s", si), ("s", si)
             else:
-                roles = ("c", ci, "s", si)
+                keys = ("c", ci), ("s", si)
             sample_counter += 1
-            values = _train_sample(cfg, level, enc, frozen, params, cache, weights,
-                                   images, *roles)
-            sums += values
+            sums += _train_sample(cfg, level, enc, frozen, params, cache, weights, *keys)
         means = sums / cfg.batch
         if not np.all(np.isfinite(means)):
             raise TrainingDiverged(f"level {level} step {step}: non-finite loss {means}")
@@ -446,28 +449,22 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
     return TrainResult(params=params, log_lines=log_lines)
 
 
-def _train_sample(cfg, level, enc, frozen, params, cache, weights, images,
-                  c_role, c_idx, s_role, s_idx):
-    """One forward/backward pass; returns (l_pc, l_ps, l_tv, total) floats."""
+def _train_sample(cfg, level, enc, frozen, params, cache, weights, c_key, s_key):
+    """One forward/backward pass of the `cache` images keyed `c_key` and `s_key`;
+    returns (l_pc, l_ps, l_tv, total) floats."""
     depth = cfg.levels
-    c_img = images[c_role][c_idx]
-    s_img = images[s_role][s_idx]
-    c_chain = cache.level_images(c_role, c_idx, c_img)
-    s_chain = cache.level_images(s_role, s_idx, s_img)
+    c_chain = cache.level_images(*c_key)
+    s_chain = cache.level_images(*s_key)
 
     # frozen coarse-to-fine prefix supplies this level's starting estimate
-    icing = np.zeros_like(c_chain[depth - 1])
+    icing = start_estimate(c_chain[depth - 1])
     for j in range(depth, level, -1):
         icing = refine_level(icing, c_chain[j - 1], s_chain[j - 1], frozen[j], enc)
         icing = upsample(icing)
 
-    targets = LevelTargets(
-        content_stack=cache.features(c_role, c_idx, c_img, level)[0],
-        content_deep=[cache.features(c_role, c_idx, c_img, j)[0].stages[-1]
-                      for j in range(level, depth + 1)],
-        style_grams=cache.features(s_role, s_idx, s_img, level)[1],
-        style_deep_grams=[cache.features(s_role, s_idx, s_img, j)[1][-1]
-                          for j in range(level + 1, depth + 1)])
+    levels = range(level, depth + 1)
+    targets = level_targets([cache.features(*c_key, j) for j in levels],
+                            [cache.features(*s_key, j) for j in levels])
     total, l_pc, l_ps, l_tv = sample_objective(_as_image_tensor(icing), targets, params, enc,
                                                level, weights)
     ad.backward(total)

@@ -91,7 +91,7 @@ class LevelParams:
 HEAD_GAIN = 0.1
 
 
-def make_level_params(seed, channels=(16, 32, 64, 128), trainable=True):
+def make_level_params(seed, channels, trainable=True):
     """Seeded initialization of one level's transition network."""
     rng = np.random.default_rng(seed)
     relu_gain = float(np.sqrt(2.0))

@@ -364,42 +364,27 @@ class TestBackward:
         assert out._backward is None and out._parents == ()
 
 
-def _leaf(rng, shape):
-    return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
-
-
 def _conv_case(k, pad, bias, stride=1, c_in=3, c_out=4, size=6):
-    def build(rng):
-        x = _leaf(rng, (c_in, size, size))
-        w = _leaf(rng, (c_out, c_in, k, k))
-        b = _leaf(rng, (c_out,)) if bias else None
-        leaves = [x, w] + ([b] if bias else [])
-        ho = (size + 2 * pad - k) // stride + 1
-        proj = gradcheck.projection(rng, (c_out, ho, ho))
+    def conv(x, w, b=None):
+        return ad.conv2d(x, ConvParams(weight=w, bias=b, stride=stride, padding=pad))
 
-        def forward():
-            p = ConvParams(weight=w, bias=b, stride=stride, padding=pad)
-            return gradcheck.scalarize(ad.conv2d(x, p), proj)
-
-        return leaves, forward
-    return build
-
-
-def _unary_case(op, shape, out_shape=None):
-    def build(rng):
-        x = _leaf(rng, shape)
-        probe = op(Tensor(np.zeros(shape), dtype=np.float64))
-        proj = gradcheck.projection(rng, probe.shape)
-
-        def forward():
-            return gradcheck.scalarize(op(x), proj)
-
-        return [x], forward
-    return build
+    specs = [((c_in, size, size), 1.0), ((c_out, c_in, k, k), 1.0)] + [((c_out,), 1.0)] * bias
+    return gradcheck.case(conv, *specs)
 
 
 class TestFiniteDifferences:
     """Analytic gradients vs central differences on float64 shadows."""
+
+    def test_case_draws_leaves_then_one_projection_per_output(self):
+        shape = (2, 3, 1)
+        build = gradcheck.case(lambda a, b: (ad.mul(a, b), ad.gram(a)), (shape, 0.5), (shape, 1))
+        leaves, forward = build(np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        a, b, p_mul, p_gram = (rng.standard_normal(s) for s in [shape, shape, shape, (2, 2)])
+        np.testing.assert_array_equal([t.data for t in leaves], [a * 0.5, b])
+        flat = a.reshape(2, 3)
+        want = np.sum(a * b * p_mul) * 0.5 + np.sum(flat @ flat.T / 24 * p_gram)
+        np.testing.assert_allclose(forward().item(), want)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("k,pad,bias", [(1, 0, False), (3, 1, True), (3, 0, False)])
@@ -420,15 +405,7 @@ class TestFiniteDifferences:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matmul(self, seed):
-        def build(rng):
-            a = _leaf(rng, (4, 3))
-            b = _leaf(rng, (3, 5))
-            proj = gradcheck.projection(rng, (4, 5))
-
-            def forward():
-                return gradcheck.scalarize(ad.matmul(a, b), proj)
-
-            return [a, b], forward
+        build = gradcheck.case(ad.matmul, ((4, 3), 1.0), ((3, 5), 1.0))
         assert gradcheck.check_gradients(build, seed) < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
@@ -444,19 +421,12 @@ class TestFiniteDifferences:
         ("mean", ad.mean_all, (3, 4)),
     ])
     def test_unary_ops(self, seed, name, op, shape):
-        assert gradcheck.check_gradients(_unary_case(op, shape), seed) < 1e-4
+        assert gradcheck.check_gradients(gradcheck.case(op, (shape, 1.0)), seed) < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_concat_channels(self, seed):
-        def build(rng):
-            a = _leaf(rng, (2, 3, 3))
-            b = _leaf(rng, (3, 3, 3))
-            proj = gradcheck.projection(rng, (5, 3, 3))
-
-            def forward():
-                return gradcheck.scalarize(ad.concat_channels([a, b]), proj)
-
-            return [a, b], forward
+        build = gradcheck.case(lambda a, b: ad.concat_channels([a, b]),
+                               ((2, 3, 3), 1.0), ((3, 3, 3), 1.0))
         assert gradcheck.check_gradients(build, seed) < 1e-4
 
 

@@ -1,14 +1,19 @@
 """End-to-end CLI tests on a tiny configuration."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from restyle import checkpoint
+from restyle import checkpoint, gradcheck
 from restyle.cli import main
 from restyle.corpus import CorpusSpec, make_test_pairs
 from restyle.images import load_ppm, save_ppm
+
+from test_parsers import edits, mutate
 
 TINY = """\
 seed = 9
@@ -22,13 +27,6 @@ content_count = 3
 style_count = 2
 model_dir = {dir}
 """
-
-
-@pytest.fixture()
-def workdir(tmp_path):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(TINY.format(dir=tmp_path / "model"))
-    return tmp_path, str(cfg_path)
 
 
 def write_image(path, img):
@@ -46,10 +44,24 @@ def train_all(cfg_path, levels=2):
         assert main(["train", "--config", cfg_path, "--level", str(level)]) == 0
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A read-only directory: `model/` (TINY, trained), the PPMs `content`, `style`
+    and `input`, and `pairs`, which lists content and style."""
+    tmp = tmp_path_factory.mktemp("trained")
+    (tmp / "run.cfg").write_text(TINY.format(dir=tmp / "model"))
+    train_all(str(tmp / "run.cfg"))
+    (c, s), = make_test_pairs(CorpusSpec(seed=6, size=32, content_count=1, style_count=1), 1)
+    for name, img in (("content", c), ("style", s), ("input", s)):
+        write_image(tmp / name, img)
+    (tmp / "pairs").write_text(f"{tmp / 'content'}\t{tmp / 'style'}\n")
+    return tmp
+
+
 class TestTrainCommand:
-    def test_missing_coarser_checkpoint_exits_2(self, workdir, capsys):
-        tmp, cfg_path = workdir
-        rc = main(["train", "--config", cfg_path, "--level", "1"])
+    def test_missing_coarser_checkpoint_exits_2(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text(TINY.format(dir=tmp_path / "model"))
+        rc = main(["train", "--config", str(tmp_path / "run.cfg"), "--level", "1"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -109,9 +121,8 @@ class TestTrainCommand:
 
 
 class TestStylizeCommand:
-    def test_roundtrip_and_intermediates(self, workdir):
-        tmp, cfg_path = workdir
-        train_all(cfg_path)
+    def test_roundtrip_and_intermediates(self, tmp_path, trained):
+        tmp, model = tmp_path, str(trained / "model")
         pairs = make_test_pairs(CorpusSpec(seed=1, size=32, content_count=1, style_count=1), 1)
         c_path, s_path = tmp / "c.ppm", tmp / "s.ppm"
         write_image(c_path, pairs[0][0])
@@ -119,7 +130,7 @@ class TestStylizeCommand:
         out = tmp / "out.ppm"
         inter = tmp / "inter"
         rc = main(["stylize", "--content", str(c_path), "--style", str(s_path),
-                   "--model", str(tmp / "model"), "--out", str(out),
+                   "--model", model, "--out", str(out),
                    "--save-intermediates", str(inter)])
         assert rc == 0
         img = read_image(out)
@@ -128,31 +139,29 @@ class TestStylizeCommand:
         finest = read_image(inter / "out.level1.ppm")
         np.testing.assert_array_equal(finest, img)
 
-    def test_alpha_one_matches_default(self, workdir):
-        tmp, cfg_path = workdir
-        train_all(cfg_path)
+    def test_alpha_one_matches_default(self, tmp_path, trained):
+        tmp, model = tmp_path, str(trained / "model")
         pairs = make_test_pairs(CorpusSpec(seed=2, size=32, content_count=1, style_count=1), 1)
         write_image(tmp / "c.ppm", pairs[0][0])
         write_image(tmp / "s.ppm", pairs[0][1])
         base_args = ["stylize", "--content", str(tmp / "c.ppm"), "--style", str(tmp / "s.ppm"),
-                     "--model", str(tmp / "model")]
+                     "--model", model]
         assert main(base_args + ["--out", str(tmp / "a.ppm")]) == 0
         assert main(base_args + ["--out", str(tmp / "b.ppm"), "--alpha", "1.0"]) == 0
         assert (tmp / "a.ppm").read_bytes() == (tmp / "b.ppm").read_bytes()
 
-    def test_alpha_out_of_range_exits_2(self, workdir, capsys):
-        tmp, cfg_path = workdir
-        train_all(cfg_path)
+    def test_alpha_out_of_range_exits_2(self, tmp_path, trained, capsys):
+        tmp, model = tmp_path, str(trained / "model")
         write_image(tmp / "c.ppm", np.zeros((32, 32, 3), dtype=np.float32))
         rc = main(["stylize", "--content", str(tmp / "c.ppm"), "--style", str(tmp / "c.ppm"),
-                   "--model", str(tmp / "model"), "--out", str(tmp / "o.ppm"),
+                   "--model", model, "--out", str(tmp / "o.ppm"),
                    "--alpha", "1.5"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_non_utf8_checkpoint_name_exits_2(self, workdir, capsys):
-        tmp, cfg_path = workdir
-        train_all(cfg_path)
+    def test_non_utf8_checkpoint_name_exits_2(self, tmp_path, trained, capsys):
+        tmp = tmp_path
+        shutil.copytree(trained / "model", tmp / "model")
         enc_path = tmp / "model" / "encoder.ckpt"
         blob = bytearray(enc_path.read_bytes())
         blob[14] = 0xFF  # first byte of the first tensor name
@@ -163,34 +172,31 @@ class TestStylizeCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_bad_image_exits_2(self, workdir, capsys):
-        tmp, cfg_path = workdir
-        train_all(cfg_path)
+    def test_bad_image_exits_2(self, tmp_path, trained, capsys):
+        tmp, model = tmp_path, str(trained / "model")
         (tmp / "junk.ppm").write_bytes(b"P5 not really\n")
         rc = main(["stylize", "--content", str(tmp / "junk.ppm"),
                    "--style", str(tmp / "junk.ppm"),
-                   "--model", str(tmp / "model"), "--out", str(tmp / "o.ppm")])
+                   "--model", model, "--out", str(tmp / "o.ppm")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
 
 class TestRefineAndEval:
-    def test_refine_shape_contract(self, workdir):
-        tmp, cfg_path = workdir
-        train_all(cfg_path)
+    def test_refine_shape_contract(self, tmp_path, trained):
+        tmp, model = tmp_path, str(trained / "model")
         pairs = make_test_pairs(CorpusSpec(seed=3, size=32, content_count=1, style_count=1), 1)
         write_image(tmp / "c.ppm", pairs[0][0])
         write_image(tmp / "s.ppm", pairs[0][1])
         write_image(tmp / "ext.ppm", np.full((32, 32, 3), 0.5, dtype=np.float32))
         rc = main(["refine", "--input", str(tmp / "ext.ppm"), "--content", str(tmp / "c.ppm"),
-                   "--style", str(tmp / "s.ppm"), "--model", str(tmp / "model"),
+                   "--style", str(tmp / "s.ppm"), "--model", model,
                    "--level", "1", "--out", str(tmp / "r.ppm")])
         assert rc == 0
         assert read_image(tmp / "r.ppm").shape == (32, 32, 3)
 
-    def test_eval_table_shape(self, workdir):
-        tmp, cfg_path = workdir
-        train_all(cfg_path)
+    def test_eval_table_shape(self, tmp_path, trained):
+        tmp, model = tmp_path, str(trained / "model")
         pairs = make_test_pairs(CorpusSpec(seed=4, size=32, content_count=2, style_count=2), 2)
         lines = []
         for i, (c, s) in enumerate(pairs):
@@ -198,7 +204,7 @@ class TestRefineAndEval:
             write_image(tmp / f"s{i}.ppm", s)
             lines.append(f"{tmp}/c{i}.ppm\t{tmp}/s{i}.ppm")
         (tmp / "pairs.txt").write_text("\n".join(lines) + "\n")
-        rc = main(["eval", "--model", str(tmp / "model"), "--pairs", str(tmp / "pairs.txt"),
+        rc = main(["eval", "--model", model, "--pairs", str(tmp / "pairs.txt"),
                    "--out", str(tmp / "table.tsv")])
         assert rc == 0
         rows = (tmp / "table.tsv").read_text().strip().split("\n")
@@ -207,16 +213,15 @@ class TestRefineAndEval:
         assert rows[1].split("\t")[0] == "L_c" and len(rows[1].split("\t")) == 3
         assert rows[2].split("\t")[0] == "L_s" and len(rows[2].split("\t")) == 3
 
-    def test_eval_paths_with_spaces(self, workdir):
-        tmp, cfg_path = workdir
-        train_all(cfg_path)
+    def test_eval_paths_with_spaces(self, tmp_path, trained):
+        tmp, model = tmp_path, str(trained / "model")
         (c, s), = make_test_pairs(CorpusSpec(seed=5, size=32, content_count=1, style_count=1), 1)
         folder = tmp / "my images"
         folder.mkdir()
         write_image(folder / "content 1.ppm", c)
         write_image(folder / "style 1.ppm", s)
         (tmp / "pairs.txt").write_text(f"{folder}/content 1.ppm\t{folder}/style 1.ppm\n")
-        rc = main(["eval", "--model", str(tmp / "model"), "--pairs", str(tmp / "pairs.txt"),
+        rc = main(["eval", "--model", model, "--pairs", str(tmp / "pairs.txt"),
                    "--out", str(tmp / "table.tsv")])
         assert rc == 0
         assert len((tmp / "table.tsv").read_text().strip().split("\n")) == 3
@@ -235,3 +240,55 @@ class TestGradcheckCommand:
     def test_unknown_op_exits_2(self, capsys):
         assert main(["gradcheck", "--op", "nope"]) == 2
         assert capsys.readouterr().err.startswith("error: config:")
+
+    def test_failed_check_exits_3(self, monkeypatch):
+        monkeypatch.setattr(gradcheck, "run_suite", lambda **_: [("gram", 1.0, False)])
+        assert main(["gradcheck"]) == 3
+
+
+@pytest.mark.parametrize("command", [
+    "train --config DIR --level 1", "train --config BAD --level 1",
+    "stylize --content DIR --style S --model M --out O",
+    "stylize --content C --style S --model M --out DIR",
+    "eval --model M --pairs BAD --out O", "eval --model M --pairs DIR --out O"])
+def test_os_and_decode_errors_exit_2(trained, tmp_path, capsys, command):
+    (tmp_path / "bad").write_bytes(b"seed = 9\xff\n")
+    paths = {"DIR": tmp_path, "BAD": tmp_path / "bad", "C": trained / "content",
+             "S": trained / "style", "M": trained / "model", "O": tmp_path / "o"}
+    assert main([str(paths.get(arg, arg)) for arg in command.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+FLAGS = {"stylize": ["model", "content", "style"], "eval": ["model", "pairs"],
+         "refine": ["model", "content", "style", "input"]}
+# each path stays valid half of the time, so that a fault in a later path is reached
+KINDS = st.sampled_from(["valid"] * 4 + ["missing", "directory", "non_utf8", "mutated"])
+
+
+# capsys is read after every example, so no output carries over between examples
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(FLAGS)), st.lists(st.tuples(KINDS, edits), min_size=4, max_size=4),
+       st.sampled_from(["o.ppm", "", "missing/o.ppm"]))
+def test_cli_exit_codes_property(trained, tmp_path_factory, capsys, command, draws, out):
+    """stylize, refine and eval exit 0, 2 or 3 without a traceback when a path is
+    missing, a directory, non-UTF-8 text or a 1-4 byte mutation of a valid PPM,
+    pair list, checkpoint or config.txt (the model file that the edits pick)."""
+    tmp = tmp_path_factory.mktemp("case")
+    argv = [command, "--out", str(tmp / out)] + ["--level", "1"] * (command == "refine")
+    for name, (kind, ops) in zip(FLAGS[command], draws):
+        path = tmp / name
+        argv += [f"--{name}", str(path)]
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non_utf8":
+            path.write_bytes(b"\xffnot text\n")
+        elif kind != "missing":
+            (shutil.copytree if name == "model" else shutil.copy)(trained / name, path)
+            files = sorted(path.iterdir()) if name == "model" else [path]
+            if kind == "mutated":
+                target = files[ops[0][1] % len(files)]
+                target.write_bytes(bytes(mutate(target.read_bytes(), ops, int)))
+    assert main(argv) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from restyle import autodiff as ad
-from restyle import encoder as enc_mod
 from restyle import gradcheck
 from restyle.autodiff import Tensor
-from restyle.encoder import compute_errors, encode, fuse, gram_stack, make_encoder
+from restyle.encoder import compute_errors, encode, fuse, make_encoder
 from restyle.errors import ContractError
 
 
@@ -137,14 +136,5 @@ class TestFuse:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients(self, seed):
-        def build(rng):
-            content = Tensor(rng.standard_normal((3, 2, 3)), requires_grad=True, dtype=np.float64)
-            w = Tensor(rng.standard_normal((3, 3)), requires_grad=True, dtype=np.float64)
-            se = Tensor(rng.standard_normal((3, 3)), requires_grad=True, dtype=np.float64)
-            proj = gradcheck.projection(rng, (3, 2, 3))
-
-            def forward():
-                return gradcheck.scalarize(fuse(content, w, se), proj)
-
-            return [content, w, se], forward
+        build = gradcheck.case(fuse, ((3, 2, 3), 1.0), ((3, 3), 1.0), ((3, 3), 1.0))
         assert gradcheck.check_gradients(build, seed) < 1e-4

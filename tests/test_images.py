@@ -140,6 +140,16 @@ class TestLevelInputs:
         with pytest.raises(ContractError):
             images.build_level_inputs(img, img, levels=3)
 
+    def test_pairs_are_reversed_pyramids(self):
+        c, s = np.random.default_rng(8).random((2, 16, 24, 3)).astype(np.float32)
+        chain = images.pyramid(c, 3)
+        assert len(chain) == 3 and chain[0] is c
+        for fine, coarse in zip(chain, chain[1:]):
+            np.testing.assert_array_equal(coarse, images.downsample(fine))
+        want = list(zip(chain, images.pyramid(s, 3)))[::-1]
+        for got, ref in zip(images.build_level_inputs(c, s, levels=3), want, strict=True):
+            np.testing.assert_array_equal(got, ref)
+
 
 class TestLayout:
     def test_chw_roundtrip(self):

@@ -10,11 +10,14 @@ from restyle.config import RunConfig
 from restyle.corpus import CorpusSpec, make_corpus
 from restyle.encoder import encode, gram_stack, make_encoder
 from restyle.errors import ConfigError, ContractError, TrainingDiverged
-from restyle.images import downsample, to_chw
+from restyle.images import downsample
+from restyle.stylizer import start_estimate
 from restyle.trainer import (Adam, LossWeights, TrainResult, combine_losses, content_loss,
                              cosine_lr, evaluate, init_level_params, recovering_clamp01,
                              style_loss, total_loss, train_level, tv_loss)
 from restyle.transition import etnet_forward
+
+from test_encoder import rand_img
 
 CHANNELS = (4, 6, 8, 10)
 
@@ -22,10 +25,6 @@ CHANNELS = (4, 6, 8, 10)
 @pytest.fixture(scope="module")
 def enc():
     return make_encoder(seed=2, channels=CHANNELS)
-
-
-def rand_img(seed, size):
-    return np.random.default_rng(seed).random((size, size, 3)).astype(np.float32)
 
 
 def msq(a, b):
@@ -282,8 +281,7 @@ class TestTrainLevel:
             for c in contents:
                 for s in styles:
                     c2, s2 = downsample(c), downsample(s)
-                    zero = np.zeros_like(c2)
-                    raw = etnet_forward(c2, s2, zero, params, enc).data
+                    raw = etnet_forward(c2, s2, start_estimate(c2), params, enc).data
                     shares.append(np.mean((raw < 0) | (raw > 1)))
             return float(np.mean(shares))
 

@@ -12,6 +12,8 @@ from restyle.transition import (LevelParams, NonLocalParams, PropagationBlockPar
                                 etnet_forward, load_state, make_level_params,
                                 nonlocal_block, propagation_block, run_decoder)
 
+from test_encoder import rand_img
+
 
 def conv1x1_loops(x, w):
     """(C_in, H, W) through a (C_out, C_in, 1, 1) kernel, by explicit loops."""
@@ -113,21 +115,8 @@ class TestNonLocalBlock:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients(self, seed):
-        def build(rng):
-            c = 3
-            wh = Tensor(rng.standard_normal((c, c, 1, 1)), requires_grad=True, dtype=np.float64)
-            wu = Tensor(rng.standard_normal((c, c, 1, 1)), requires_grad=True, dtype=np.float64)
-            wg = Tensor(rng.standard_normal((c, c, 1, 1)), requires_grad=True, dtype=np.float64)
-            err = Tensor(rng.standard_normal((c, 2, 3)), requires_grad=True, dtype=np.float64)
-            f_in = Tensor(rng.standard_normal((c, 2, 3)), requires_grad=True, dtype=np.float64)
-            proj = gradcheck.projection(rng, (c, 2, 3))
-
-            def forward():
-                p = NonLocalParams(psi_h=ConvParams(weight=wh), psi_u=ConvParams(weight=wu),
-                                   psi_g=ConvParams(weight=wg))
-                return gradcheck.scalarize(nonlocal_block(err, f_in, p), proj)
-
-            return [wh, wu, wg, err, f_in], forward
+        # the standard suite's case: three 1x1 weights, then error and features
+        build = next(c.build for c in gradcheck.standard_suite() if c.name == "nonlocal_block")
         assert gradcheck.check_gradients(build, seed) < 1e-4
 
 
@@ -259,10 +248,6 @@ def small_setup():
     enc = make_encoder(seed=3, channels=CHANNELS)
     params = make_level_params(seed=4, channels=CHANNELS)
     return enc, params
-
-
-def rand_img(seed, size):
-    return np.random.default_rng(seed).random((size, size, 3)).astype(np.float32)
 
 
 class TestEtnetForward:
