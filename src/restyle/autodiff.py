@@ -15,6 +15,7 @@ so purely inference-side computation carries no bookkeeping cost.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,48 +414,74 @@ class ConvParams:
             raise ContractError("ConvParams: padding must be non-negative")
 
 
-def _taps(k, stride, pad, h, w, ho, wo):
-    """Tap windows of a conv on an H x W map with output size Ho x Wo.
+def _spans(k, stride, pad, n, first, last):
+    """Per tap offset along one axis of length n, the outputs that read inside it.
 
-    Yields (ky, kx, out_win, in_win): output pixel (oy, ox) of tap (ky, kx)
-    reads input pixel (stride*oy + ky - pad, stride*ox + kx - pad), and the
-    two windows are the (strided) rectangles where both lie inside the map.
-    Outside them the tap reads the zero border, which is never built; a tap
-    that reads only border is skipped.
+    Output o of tap t reads input stride*o + t - pad. For outputs o in
+    [first, last), returns (t, out, inp) for each tap t that reads inside
+    [0, n) somewhere: `out` is the span of such outputs, counted from
+    `first`, and `inp` the (strided) span of inputs they read. Outside `out`
+    the tap reads the zero border, which is never built; a tap that reads
+    only border is left out. A 2-d tap (ky, kx) pairs a row span with a
+    column span.
     """
-    def spans(n, n_out):
-        out = []
-        for t in range(k):
-            lo = max(0, -((t - pad) // stride))  # first o with stride*o + t - pad >= 0
-            hi = min(n_out, (n - 1 + pad - t) // stride + 1)
-            if hi > lo:
-                start = stride * lo + t - pad
-                out.append((t, slice(lo, hi),
-                            slice(start, start + stride * (hi - lo - 1) + 1, stride)))
-        return out
-
-    cols = spans(w, wo)
-    for ky, oy, iy in spans(h, ho):
-        for kx, ox, ix in cols:
-            yield ky, kx, (slice(None), oy, ox), (slice(None), iy, ix)
+    spans = []
+    for t in range(k):
+        lo = max(first, -((t - pad) // stride))  # first o with stride*o + t - pad >= 0
+        hi = min(last, (n - 1 + pad - t) // stride + 1)
+        if hi > lo:
+            start = stride * lo + t - pad
+            spans.append((t, slice(lo - first, hi - first),
+                          slice(start, start + stride * (hi - lo - 1) + 1, stride)))
+    return spans
 
 
-def _im2col(x, k, stride, pad, ho, wo):
-    """Column matrix of a (C, H, W) input, shape (C*k*k, Ho*Wo).
+# Column buffers under this size are zeroed whole, which brings them into
+# cache for the copies that follow; larger ones zero only the entries that
+# read the border, saving a pass over memory. Measured crossover: whole
+# zeroing took 125 us against 127 us at 1.0 MB, 307 us against 256 us at 2.7 MB.
+_ZERO_ALL_BYTES = 1 << 20
 
-    Row (c, ky, kx) holds what tap (ky, kx) reads from channel c at each
-    output pixel, so the conv is one GEMM of the (C_out, C*k*k) weight by it.
-    Each tap's in-map window is copied into a zeroed buffer, so the padded
-    input is never built; a 1x1 stride-1 unpadded conv uses the input itself,
-    reshaped without a copy.
+
+def _im2col(x, k, stride, pad, rows, wo):
+    """Column matrix of a (C, H, W) input for the output rows `rows`, a range.
+
+    The shape is (C*k*k, len(rows)*Wo). Row (c, ky, kx) holds what tap
+    (ky, kx) reads from channel c at each output pixel of those rows, so
+    their conv output is one GEMM of the (C_out, C*k*k) weight by it;
+    `range(Ho)` gives the full matrix. Each tap's in-map window is copied
+    into the buffer and the rest of the tap, which reads the zero border,
+    is zeroed, so the padded input is never built. A 1x1 stride-1 unpadded
+    conv uses the input's rows themselves, reshaped without a copy.
     """
     c, h, w = x.shape
     if k == 1 and stride == 1 and pad == 0:  # every 1x1 conv in the model
-        return x.reshape(c, h * w)
-    col = np.zeros((c, k, k, ho, wo), dtype=x.dtype)
-    for ky, kx, out_win, in_win in _taps(k, stride, pad, h, w, ho, wo):
-        col[:, ky, kx][out_win] = x[in_win]
-    return col.reshape(c * k * k, ho * wo)
+        return x[:, rows.start:rows.stop].reshape(c, len(rows) * w)
+    n = len(rows)
+    ys = _spans(k, stride, pad, h, rows.start, rows.stop)
+    xs = _spans(k, stride, pad, w, 0, wo)
+    if c * k * k * n * wo * x.dtype.itemsize < _ZERO_ALL_BYTES:
+        col = np.zeros((c, k, k, n, wo), dtype=x.dtype)
+    else:
+        col = np.empty((c, k, k, n, wo), dtype=x.dtype)
+        # the output rows of each ky, then the output columns of each kx,
+        # outside its span (all of them for a left-out tap offset)
+        oy = {t: o for t, o, _ in ys}
+        ox = {t: o for t, o, _ in xs}
+        for t in range(k):
+            lo, hi = (oy[t].start, oy[t].stop) if t in oy else (n, n)
+            if lo:
+                col[:, t, :, :lo] = 0
+            if hi < n:
+                col[:, t, :, hi:] = 0
+            lo, hi = (ox[t].start, ox[t].stop) if t in ox else (wo, wo)
+            if lo:
+                col[:, :, t, :, :lo] = 0
+            if hi < wo:
+                col[:, :, t, :, hi:] = 0
+    for (ky, oy, iy), (kx, ox, ix) in itertools.product(ys, xs):
+        col[:, ky, kx, oy, ox] = x[:, iy, ix]
+    return col.reshape(c * k * k, n * wo)
 
 
 def _col2im(dcol, x, k, stride, pad, ho, wo):
@@ -471,18 +498,38 @@ def _col2im(dcol, x, k, stride, pad, ho, wo):
         return dcol.reshape(c, h, w)
     dcol = dcol.reshape(c, k, k, ho, wo)
     dx = np.zeros((c, h, w), dtype=x.dtype)
-    for ky, kx, out_win, in_win in _taps(k, stride, pad, h, w, ho, wo):
-        dx[in_win] += dcol[:, ky, kx][out_win]
+    ys = _spans(k, stride, pad, h, 0, ho)
+    xs = _spans(k, stride, pad, w, 0, wo)
+    for (ky, oy, iy), (kx, ox, ix) in itertools.product(ys, xs):
+        dx[:, iy, ix] += dcol[:, ky, kx, oy, ox]
     return dx
+
+
+# Upper bound on one band's column matrix when conv2d builds its columns in
+# bands of output rows (a frozen weight). 4-12 MiB ran fastest on the model's
+# large convs, 2 and 16 MiB slower.
+COLUMN_BYTES = 8 << 20
 
 
 def conv2d(x, p):
     """2-d convolution (cross-correlation) of a (C, H, W) map.
 
-    One GEMM of the reshaped weight by the `_im2col` columns. The backward
-    pass multiplies the output gradient by the saved columns for the weight
-    gradient, and by the weight for the column gradient, which `_col2im`
-    scatters back onto the input (see those two for the paths taken).
+    The output is the reshaped weight times the `_im2col` columns. A weight
+    that needs a gradient gets one GEMM over the full column matrix, which
+    is kept for the weight gradient. A frozen weight (every encoder conv,
+    frozen prefixes, calibration, stylization) splits the output rows evenly
+    into the fewest bands whose columns fit in `COLUMN_BYTES`; each band's
+    GEMM writes its rows of the output, so the columns take O(band) memory
+    rather than O(H*W). Each output element is the same dot product as in
+    the full GEMM, and its bits match while BLAS runs every band with the
+    kernel it uses for the full product. OpenBLAS sums GEMMs under about
+    1e6 multiply-adds with other kernels; even bands are never under a
+    quarter of the budget, which keeps the model's float32 bands above that
+    (TestBandedColumns in tests/test_autodiff.py checks the bits). The
+    backward pass multiplies the output gradient by the saved columns for
+    the weight gradient, and by the weight for the column gradient, which
+    `_col2im` scatters back onto the input (see those two for the paths
+    taken).
     """
     _check_chw(x, "conv2d")
     weight, bias, stride, pad = p.weight, p.bias, p.stride, p.padding
@@ -498,13 +545,24 @@ def conv2d(x, p):
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
 
-    col = _im2col(x.data, k, stride, pad, ho, wo)
     w2 = weight.data.reshape(c_out, c_in * k * k)
-    out = w2 @ col
+    # the weight gradient needs the full columns again
+    rows_per_band = ho if weight.requires_grad else \
+        max(1, COLUMN_BYTES // (c_in * k * k * wo * x.dtype.itemsize))
+    n = -(-ho // rows_per_band)
+    if n == 1:
+        col = _im2col(x.data, k, stride, pad, range(ho), wo)
+        out = w2 @ col
+    else:
+        col = None
+        out = np.empty((c_out, ho * wo), dtype=np.result_type(w2, x.data))
+        for i in range(n):
+            rows = range(ho * i // n, ho * (i + 1) // n)
+            np.matmul(w2, _im2col(x.data, k, stride, pad, rows, wo),
+                      out=out[:, rows.start * wo:rows.stop * wo])
+    saved_col = col if weight.requires_grad else None
     if bias is not None:
         out = out + bias.data[:, None]
-    # col is only needed again for the weight gradient
-    saved_col = col if weight.requires_grad else None
 
     def bw(g):
         g2 = g.reshape(c_out, ho * wo)
@@ -516,7 +574,7 @@ def conv2d(x, p):
             accumulate(x, _col2im(w2.T @ g2, x.data, k, stride, pad, ho, wo))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return record(np.ascontiguousarray(out.reshape(c_out, ho, wo)), parents, bw)
+    return record(out.reshape(c_out, ho, wo), parents, bw)
 
 
 # ---------------------------------------------------------------------------

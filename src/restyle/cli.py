@@ -8,7 +8,7 @@ import sys
 
 from . import checkpoint, trainer
 from . import gradcheck as gradcheck_mod
-from .config import load_config
+from .config import load_config, read_text
 from .errors import CheckpointError, ConfigError, ContractError, PpmParseError, \
     TrainingDiverged
 from .images import load_ppm, save_ppm
@@ -70,15 +70,13 @@ def cmd_refine(args):
 def cmd_eval(args):
     model, _ = trainer.load_model_dir(args.model)
     pairs = []
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ConfigError(f"{args.pairs}:{lineno}: expected two TAB-separated paths")
-            pairs.append((_read_image(parts[0]), _read_image(parts[1])))
+    for lineno, line in enumerate(read_text(args.pairs).split("\n"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ConfigError(f"{args.pairs}:{lineno}: expected two TAB-separated paths")
+        pairs.append((_read_image(parts[0]), _read_image(parts[1])))
     if not pairs:
         raise ConfigError(f"{args.pairs}: no pairs listed")
     result = trainer.evaluate(model, pairs)
@@ -154,14 +152,11 @@ def main(argv=None):
     except (ContractError, PpmParseError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: config: missing file: {exc.filename}", file=sys.stderr)
-        return 2
     except OSError as exc:
-        print(f"error: file: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: input: not UTF-8 text: {exc}", file=sys.stderr)
+        # a path that cannot be opened; only the --config file is a config error
+        category = "config" if args.command == "train" and exc.filename == args.config else "file"
+        reason = f"{exc.strerror}: {exc.filename}" if exc.filename is not None else exc
+        print(f"error: {category}: {reason}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)

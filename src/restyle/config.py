@@ -82,9 +82,18 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**values).validate()
 
 
-def load_config(path) -> RunConfig:
+def read_text(path) -> str:
+    """Text of a UTF-8 file, newlines translated; other bytes raise ConfigError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") \
+                from exc
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(read_text(path))
 
 
 def format_config(cfg: RunConfig) -> str:

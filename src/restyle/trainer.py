@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint
 from .autodiff import Tensor
-from .config import RunConfig, format_config, load_config
+from .config import RunConfig, format_config, load_config, read_text
 from .corpus import CorpusSpec, make_corpus
 from .encoder import Encoder, ErrorBundle, FeatureStack, _as_image_tensor, encode, \
     errors_between, gram_stack, make_encoder, pair_errors, rescale_to_rms
@@ -532,9 +532,8 @@ def init_model_dir(model_dir, cfg: RunConfig, enc: Encoder):
     snap_path = os.path.join(model_dir, CONFIG_SNAPSHOT)
     snapshot = format_config(cfg)
     if os.path.exists(snap_path):
-        with open(snap_path, "r", encoding="utf-8") as fh:
-            if fh.read() != snapshot:
-                raise ConfigError(f"{snap_path} exists with a different configuration")
+        if read_text(snap_path) != snapshot:
+            raise ConfigError(f"{snap_path} exists with a different configuration")
     else:
         with open(snap_path, "w", encoding="utf-8") as fh:
             fh.write(snapshot)

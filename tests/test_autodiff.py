@@ -1,5 +1,7 @@
 """Tensor engine tests: loop oracles, closed forms, finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,98 @@ class TestConv2d:
     def test_kernel_size_restricted(self):
         with pytest.raises(ContractError):
             ConvParams(weight=Tensor(np.zeros((1, 1, 5, 5))))
+
+
+def padded_columns(x, k, stride, pad):
+    """Full column matrix of a (C, H, W) array through np.pad: the reference im2col."""
+    c, h, w = x.shape
+    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    col = np.empty((c, k, k, ho, wo), dtype=x.dtype)
+    for ky in range(k):
+        for kx in range(k):
+            col[:, ky, kx] = xp[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]
+    return col.reshape(c * k * k, ho * wo)
+
+
+class TestBandedColumns:
+    """A frozen weight builds its columns in bands of output rows under COLUMN_BYTES."""
+
+    CASES = [(3, 1, 1), (3, 0, 1), (3, 2, 1), (1, 0, 1), (3, 1, 2), (1, 1, 1)]  # k, pad, stride
+
+    @pytest.mark.parametrize("zero_all", [0, 1 << 40])
+    @pytest.mark.parametrize("k,pad,stride", CASES)
+    def test_band_columns_equal_padded_columns(self, monkeypatch, zero_all, k, pad, stride):
+        """Every band of 1 to 5 rows, with either zeroing, is its slice of the np.pad columns."""
+        monkeypatch.setattr(ad, "_ZERO_ALL_BYTES", zero_all)
+        rng = np.random.default_rng(k * 10 + pad)
+        x = rng.standard_normal((3, 9, 7)).astype(np.float32)
+        full = padded_columns(x, k, stride, pad)
+        ho, wo = (9 + 2 * pad - k) // stride + 1, (7 + 2 * pad - k) // stride + 1
+        for r0 in range(ho):
+            for r1 in range(r0 + 1, min(ho, r0 + 5) + 1):
+                got = ad._im2col(x, k, stride, pad, range(r0, r1), wo)
+                assert got.tobytes() == np.ascontiguousarray(full[:, r0 * wo:r1 * wo]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,pad,stride", CASES)
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_bands_bitwise_equal_full_gemm(self, monkeypatch, dtype, k, pad, stride, x_grad):
+        """A 48->16 conv of a 96 px map in bands of 19-20 rows: out and dx keep their bits.
+
+        Bands this large keep each GEMM above 1e6 multiply-adds; see conv2d."""
+        rng = np.random.default_rng(k * 10 + pad)
+        c_in, c_out, h, w = 48, 16, 95 + stride, 93 + stride
+        ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        row_bytes = c_in * k * k * wo * np.dtype(dtype).itemsize
+        monkeypatch.setattr(ad, "COLUMN_BYTES", 20 * row_bytes + row_bytes // 2)
+        calls = []
+        im2col = ad._im2col
+        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[4]) or im2col(*a))
+        x = Tensor(rng.standard_normal((c_in, h, w)).astype(dtype), requires_grad=x_grad)
+        wgt = Tensor(rng.standard_normal((c_out, c_in, k, k)).astype(dtype))
+        out = ad.conv2d(x, ConvParams(weight=wgt, stride=stride, padding=pad))
+        n = -(-ho // 20)
+        assert [len(r) for r in calls] == [ho * (i + 1) // n - ho * i // n for i in range(n)]
+        assert sum(len(r) for r in calls) == ho and len(calls) >= 3
+        w2 = wgt.data.reshape(c_out, -1)
+        assert out.data.tobytes() == (w2 @ padded_columns(x.data, k, stride, pad)).tobytes()
+        assert out.requires_grad == x_grad
+        if x_grad:
+            g = rng.standard_normal(out.shape).astype(dtype)
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            dx = ad._col2im(w2.T @ g.reshape(c_out, -1), x.data, k, stride, pad, ho, wo)
+            assert x.grad.tobytes() == dx.tobytes()
+            assert wgt.grad is None
+
+    def test_trainable_weight_gets_one_full_gemm(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        monkeypatch.setattr(ad, "COLUMN_BYTES", 1)
+        calls = []
+        im2col = ad._im2col
+        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[4]) or im2col(*a))
+        x = Tensor(rng.standard_normal((4, 9, 11)).astype(np.float32), requires_grad=True)
+        wgt = Tensor(rng.standard_normal((6, 4, 3, 3)).astype(np.float32), requires_grad=True)
+        g = rng.standard_normal((6, 9, 11)).astype(np.float32)
+        out = ad.conv2d(x, ConvParams(weight=wgt, padding=1))
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+        assert calls == [range(9)]
+        col = padded_columns(x.data, 3, 1, 1)
+        assert out.data.tobytes() == (wgt.data.reshape(6, -1) @ col).tobytes()
+        assert wgt.grad.tobytes() == (g.reshape(6, -1) @ col.T).reshape(wgt.shape).tobytes()
+
+    def test_frozen_conv_memory_is_bounded(self):
+        """A 48->16 3x3 conv of a 384 px map, whose full columns would take 255 MB."""
+        x = Tensor(np.random.default_rng(0).standard_normal((48, 384, 384)).astype(np.float32))
+        p = ConvParams(weight=Tensor(np.ones((16, 48, 3, 3), dtype=np.float32)), padding=1)
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        full_columns = 48 * 9 * 384 * 384 * 4
+        assert peak < out.data.nbytes + 2 * ad.COLUMN_BYTES + (1 << 20) < full_columns // 8
 
 
 class TestElementwiseAndSpatial:

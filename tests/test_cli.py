@@ -246,18 +246,31 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 3
 
 
-@pytest.mark.parametrize("command", [
-    "train --config DIR --level 1", "train --config BAD --level 1",
-    "stylize --content DIR --style S --model M --out O",
-    "stylize --content C --style S --model M --out DIR",
-    "eval --model M --pairs BAD --out O", "eval --model M --pairs DIR --out O"])
+# command: the path its error line names, and the line's category
+OS_AND_DECODE_ERRORS = {
+    "train --config DIR --level 1": ("DIR", "config"),
+    "train --config BAD --level 1": ("BAD", "config"),
+    "train --config GONE --level 1": ("GONE", "config"),
+    "stylize --content DIR --style S --model M --out O": ("DIR", "file"),
+    "stylize --content GONE --style S --model M --out O": ("GONE", "file"),
+    "stylize --content C --style S --model M --out DIR": ("DIR", "file"),
+    "stylize --content C --style S --model M --out GONE/o": ("GONE/o", "file"),
+    "eval --model M --pairs BAD --out O": ("BAD", "config"),
+    "eval --model M --pairs DIR --out O": ("DIR", "file")}
+
+
+@pytest.mark.parametrize("command", list(OS_AND_DECODE_ERRORS))
 def test_os_and_decode_errors_exit_2(trained, tmp_path, capsys, command):
+    """One error line, in the category of the path that failed, which it names."""
+    culprit, category = OS_AND_DECODE_ERRORS[command]
     (tmp_path / "bad").write_bytes(b"seed = 9\xff\n")
-    paths = {"DIR": tmp_path, "BAD": tmp_path / "bad", "C": trained / "content",
+    paths = {"DIR": tmp_path, "BAD": tmp_path / "bad", "GONE": tmp_path / "gone",
+             "GONE/o": tmp_path / "gone" / "o", "C": trained / "content",
              "S": trained / "style", "M": trained / "model", "O": tmp_path / "o"}
     assert main([str(paths.get(arg, arg)) for arg in command.split()]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith(f"error: {category}: ") and err.count("\n") == 1
+    assert str(paths[culprit]) in err and "Traceback" not in err
 
 
 FLAGS = {"stylize": ["model", "content", "style"], "eval": ["model", "pairs"],

@@ -5,12 +5,14 @@ import sys
 import numpy as np
 import pytest
 
+from restyle import autodiff as ad
 from restyle import encoder as enc_mod
 from restyle.encoder import compute_errors, make_encoder
 from restyle.errors import ContractError
+from restyle.images import from_chw
 from restyle.stylizer import (PyramidModel, mix_bundles, refine_external, refine_level,
                               stylize, stylize_alpha)
-from restyle.transition import make_level_params
+from restyle.transition import etnet_forward, make_level_params
 
 CHANNELS = (4, 6, 8, 10)
 
@@ -47,11 +49,16 @@ class TestRefineLevel:
         np.testing.assert_array_equal(out, icing)
 
     def test_clamp_saturates(self, model):
-        # force a large residual by hand: add 0.5 to an all-0.8 image
-        base = np.full((16, 16, 3), 0.8, dtype=np.float32)
-        residual = np.full((16, 16, 3), 0.5, dtype=np.float32)
-        out = np.clip(base + residual, 0.0, 1.0)
-        np.testing.assert_array_equal(out, np.ones_like(base))
+        """Where estimate + residual leaves [0, 1] the output is exactly 0 or 1."""
+        loud = ad.cast_params(model.levels[0], np.float32)
+        loud.head.weight.data *= 100
+        icing, content, style = rand_img(0, 16), rand_img(1, 16), rand_img(2, 16)
+        out = refine_level(icing, content, style, loud, model.encoder)
+        raw = icing + from_chw(etnet_forward(content, style, icing, loud, model.encoder).data)
+        low, high = raw < 0, raw > 1
+        assert low.any() and high.any() and (~low & ~high).any()
+        assert (out[low] == 0).all() and (out[high] == 1).all()
+        np.testing.assert_array_equal(out[~low & ~high], raw[~low & ~high])
 
     def test_resolution_mismatch_raises(self, model):
         with pytest.raises(ContractError):

@@ -290,9 +290,12 @@ class TestEtnetForward:
         np.testing.assert_array_equal(out.data, np.zeros((3, 16, 16)))
 
     def test_residual_is_unclamped(self, small_setup):
+        """A head scaled 100x gives a residual that leaves [0, 1] on both sides."""
         enc, params = small_setup
-        out = etnet_forward(rand_img(6, 16), rand_img(7, 16), rand_img(8, 16), params, enc)
-        assert out.data.min() < 0 or out.data.max() > 1 or True  # signed output allowed
+        loud = ad.cast_params(params, np.float32)
+        loud.head.weight.data *= 100
+        out = etnet_forward(rand_img(6, 16), rand_img(7, 16), rand_img(8, 16), loud, enc)
+        assert out.data.min() < 0 and out.data.max() > 1
 
     def test_named_tensors_roundtrip(self):
         params = make_level_params(seed=9, channels=CHANNELS)
