@@ -436,13 +436,6 @@ def _spans(k, stride, pad, n, first, last):
     return spans
 
 
-# Column buffers under this size are zeroed whole, which brings them into
-# cache for the copies that follow; larger ones zero only the entries that
-# read the border, saving a pass over memory. Measured crossover: whole
-# zeroing took 125 us against 127 us at 1.0 MB, 307 us against 256 us at 2.7 MB.
-_ZERO_ALL_BYTES = 1 << 20
-
-
 def _im2col(x, k, stride, pad, rows, wo):
     """Column matrix of a (C, H, W) input for the output rows `rows`, a range.
 
@@ -450,35 +443,17 @@ def _im2col(x, k, stride, pad, rows, wo):
     (ky, kx) reads from channel c at each output pixel of those rows, so
     their conv output is one GEMM of the (C_out, C*k*k) weight by it;
     `range(Ho)` gives the full matrix. Each tap's in-map window is copied
-    into the buffer and the rest of the tap, which reads the zero border,
-    is zeroed, so the padded input is never built. A 1x1 stride-1 unpadded
-    conv uses the input's rows themselves, reshaped without a copy.
+    into a zeroed buffer, so the padded input is never built. A 1x1
+    stride-1 unpadded conv uses the input's rows themselves, reshaped
+    without a copy.
     """
     c, h, w = x.shape
     if k == 1 and stride == 1 and pad == 0:  # every 1x1 conv in the model
         return x[:, rows.start:rows.stop].reshape(c, len(rows) * w)
     n = len(rows)
+    col = np.zeros((c, k, k, n, wo), dtype=x.dtype)
     ys = _spans(k, stride, pad, h, rows.start, rows.stop)
     xs = _spans(k, stride, pad, w, 0, wo)
-    if c * k * k * n * wo * x.dtype.itemsize < _ZERO_ALL_BYTES:
-        col = np.zeros((c, k, k, n, wo), dtype=x.dtype)
-    else:
-        col = np.empty((c, k, k, n, wo), dtype=x.dtype)
-        # the output rows of each ky, then the output columns of each kx,
-        # outside its span (all of them for a left-out tap offset)
-        oy = {t: o for t, o, _ in ys}
-        ox = {t: o for t, o, _ in xs}
-        for t in range(k):
-            lo, hi = (oy[t].start, oy[t].stop) if t in oy else (n, n)
-            if lo:
-                col[:, t, :, :lo] = 0
-            if hi < n:
-                col[:, t, :, hi:] = 0
-            lo, hi = (ox[t].start, ox[t].stop) if t in ox else (wo, wo)
-            if lo:
-                col[:, :, t, :, :lo] = 0
-            if hi < wo:
-                col[:, :, t, :, hi:] = 0
     for (ky, oy, iy), (kx, ox, ix) in itertools.product(ys, xs):
         col[:, ky, kx, oy, ox] = x[:, iy, ix]
     return col.reshape(c * k * k, n * wo)
@@ -550,17 +525,15 @@ def conv2d(x, p):
     rows_per_band = ho if weight.requires_grad else \
         max(1, COLUMN_BYTES // (c_in * k * k * wo * x.dtype.itemsize))
     n = -(-ho // rows_per_band)
-    if n == 1:
-        col = _im2col(x.data, k, stride, pad, range(ho), wo)
-        out = w2 @ col
-    else:
-        col = None
-        out = np.empty((c_out, ho * wo), dtype=np.result_type(w2, x.data))
-        for i in range(n):
-            rows = range(ho * i // n, ho * (i + 1) // n)
-            np.matmul(w2, _im2col(x.data, k, stride, pad, rows, wo),
-                      out=out[:, rows.start * wo:rows.stop * wo])
-    saved_col = col if weight.requires_grad else None
+    out = np.empty((c_out, ho * wo), dtype=np.result_type(w2, x.data))
+    saved_col = None
+    for i in range(n):
+        rows = range(ho * i // n, ho * (i + 1) // n)
+        col = _im2col(x.data, k, stride, pad, rows, wo)
+        np.matmul(w2, col, out=out[:, rows.start * wo:rows.stop * wo])
+        if weight.requires_grad:  # its one band is the full columns
+            saved_col = col
+        del col  # before the next band is built
     if bias is not None:
         out = out + bias.data[:, None]
 

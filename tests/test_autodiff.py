@@ -165,11 +165,9 @@ class TestBandedColumns:
 
     CASES = [(3, 1, 1), (3, 0, 1), (3, 2, 1), (1, 0, 1), (3, 1, 2), (1, 1, 1)]  # k, pad, stride
 
-    @pytest.mark.parametrize("zero_all", [0, 1 << 40])
     @pytest.mark.parametrize("k,pad,stride", CASES)
-    def test_band_columns_equal_padded_columns(self, monkeypatch, zero_all, k, pad, stride):
-        """Every band of 1 to 5 rows, with either zeroing, is its slice of the np.pad columns."""
-        monkeypatch.setattr(ad, "_ZERO_ALL_BYTES", zero_all)
+    def test_band_columns_equal_padded_columns(self, k, pad, stride):
+        """Every band of 1 to 5 rows is its slice of the np.pad columns."""
         rng = np.random.default_rng(k * 10 + pad)
         x = rng.standard_normal((3, 9, 7)).astype(np.float32)
         full = padded_columns(x, k, stride, pad)
@@ -237,7 +235,8 @@ class TestBandedColumns:
         finally:
             tracemalloc.stop()
         full_columns = 48 * 9 * 384 * 384 * 4
-        assert peak < out.data.nbytes + 2 * ad.COLUMN_BYTES + (1 << 20) < full_columns // 8
+        # the output and one band at a time
+        assert peak < out.data.nbytes + ad.COLUMN_BYTES + (1 << 20) < full_columns // 8
 
 
 class TestElementwiseAndSpatial:
