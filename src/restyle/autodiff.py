@@ -86,10 +86,14 @@ def accumulate(t, g):
 def backward(loss):
     """Backpropagate from a scalar loss.
 
-    Fills `.grad` on every tensor with requires_grad reachable from `loss`.
-    Repeated calls without clearing grads accumulate, one unit of gradient
-    per call: pre-existing grads are set aside during the pass and added
-    back afterwards so they do not feed into this pass's propagation.
+    Fills `.grad` on the leaves only: the tensors reachable from `loss` that
+    require a gradient and that no op produced (parameters and inputs). An
+    op's result gets its gradient during the pass, and drops it as soon as
+    its closure has passed it on, so the pass does not hold a gradient for
+    every node of the graph at once. Repeated calls without clearing grads
+    accumulate, one unit of gradient per call: pre-existing grads are set
+    aside during the pass and this pass's gradient g is added to the earlier
+    one as g + prior.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward() requires a scalar loss, got shape {loss.shape}")
@@ -115,6 +119,7 @@ def backward(loss):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
     for node, prior in zip(topo, saved):
         if prior is not None:
             node.grad = prior if node.grad is None else node.grad + prior
@@ -481,30 +486,41 @@ def _col2im(dcol, x, k, stride, pad, ho, wo):
 
 
 # Upper bound on one band's column matrix when conv2d builds its columns in
-# bands of output rows (a frozen weight). 4-12 MiB ran fastest on the model's
-# large convs, 2 and 16 MiB slower.
+# bands of output rows. 4-12 MiB ran fastest on the model's large convs, 2 and
+# 16 MiB slower.
 COLUMN_BYTES = 8 << 20
+
+# A trainable weight's full column matrix up to this size is kept from the
+# forward pass for its gradient; a larger one is rebuilt in the backward pass.
+# Rebuilding them all cost about 4.5% of a level-3 (24 px) training sample,
+# where every one is under 1 MiB; at 96 px every 3x3 one is larger.
+KEEP_COLUMN_BYTES = 1 << 20
 
 
 def conv2d(x, p):
     """2-d convolution (cross-correlation) of a (C, H, W) map.
 
-    The output is the reshaped weight times the `_im2col` columns. A weight
-    that needs a gradient gets one GEMM over the full column matrix, which
-    is kept for the weight gradient. A frozen weight (every encoder conv,
-    frozen prefixes, calibration, stylization) splits the output rows evenly
-    into the fewest bands whose columns fit in `COLUMN_BYTES`; each band's
-    GEMM writes its rows of the output, so the columns take O(band) memory
-    rather than O(H*W). Each output element is the same dot product as in
-    the full GEMM, and its bits match while BLAS runs every band with the
-    kernel it uses for the full product. OpenBLAS sums GEMMs under about
-    1e6 multiply-adds with other kernels; even bands are never under a
-    quarter of the budget, which keeps the model's float32 bands above that
-    (TestBandedColumns in tests/test_autodiff.py checks the bits). The
-    backward pass multiplies the output gradient by the saved columns for
-    the weight gradient, and by the weight for the column gradient, which
-    `_col2im` scatters back onto the input (see those two for the paths
-    taken).
+    The output is the reshaped weight times the `_im2col` columns. The output
+    rows are split evenly into the fewest bands whose columns fit in
+    `COLUMN_BYTES`; each band's GEMM writes its rows of the output, so the
+    columns take O(band) memory rather than O(H*W). Each output element is
+    the same dot product as in one full GEMM, and its bits match while BLAS
+    runs every band with the kernel it uses for the full product. OpenBLAS
+    sums GEMMs under about 1e6 multiply-adds with other kernels; even bands
+    are never under a quarter of the budget, which keeps the model's float32
+    bands above that (TestBandedColumns in tests/test_autodiff.py checks the
+    bits).
+
+    The backward pass multiplies the output gradient by the weight for the
+    column gradient, which `_col2im` scatters back onto the input (see those
+    two for the paths taken). A weight that needs a gradient gets it from one
+    GEMM of the output gradient by the full column matrix. Above
+    `KEEP_COLUMN_BYTES` the backward pass rebuilds that matrix with `_im2col`
+    rather than keeping it from the forward pass (recomputation for memory,
+    as in gradient checkpointing): a trainable 48->16 conv at 96 px would
+    otherwise hold 16 MB from its forward pass until the backward pass
+    reaches it. A smaller one is kept, which is cheaper than building it
+    twice.
     """
     _check_chw(x, "conv2d")
     weight, bias, stride, pad = p.weight, p.bias, p.stride, p.padding
@@ -521,18 +537,18 @@ def conv2d(x, p):
     wo = (w + 2 * pad - k) // stride + 1
 
     w2 = weight.data.reshape(c_out, c_in * k * k)
-    # the weight gradient needs the full columns again
-    rows_per_band = ho if weight.requires_grad else \
-        max(1, COLUMN_BYTES // (c_in * k * k * wo * x.dtype.itemsize))
+    rows_per_band = max(1, COLUMN_BYTES // (c_in * k * k * wo * x.dtype.itemsize))
     n = -(-ho // rows_per_band)
     out = np.empty((c_out, ho * wo), dtype=np.result_type(w2, x.data))
-    saved_col = None
+    # a kept matrix is the one band: KEEP_COLUMN_BYTES < COLUMN_BYTES
+    keep = weight.requires_grad and c_in * k * k * ho * wo * x.dtype.itemsize <= KEEP_COLUMN_BYTES
+    kept = None
     for i in range(n):
         rows = range(ho * i // n, ho * (i + 1) // n)
         col = _im2col(x.data, k, stride, pad, rows, wo)
         np.matmul(w2, col, out=out[:, rows.start * wo:rows.stop * wo])
-        if weight.requires_grad:  # its one band is the full columns
-            saved_col = col
+        if keep:
+            kept = col
         del col  # before the next band is built
     if bias is not None:
         out = out + bias.data[:, None]
@@ -540,7 +556,9 @@ def conv2d(x, p):
     def bw(g):
         g2 = g.reshape(c_out, ho * wo)
         if weight.requires_grad:
-            accumulate(weight, (g2 @ saved_col.T).reshape(weight.shape))
+            col = kept if keep else _im2col(x.data, k, stride, pad, range(ho), wo)
+            accumulate(weight, (g2 @ col.T).reshape(weight.shape))
+            del col  # before the column gradient is built
         if bias is not None and bias.requires_grad:
             accumulate(bias, g2.sum(axis=1))
         if x.requires_grad:
@@ -584,6 +602,20 @@ def cast_params(params, dtype):
     out = copy.deepcopy(params)
     for t in out.named_tensors().values():
         t.data = t.data.astype(dtype)
+        t.grad = None
+    return out
+
+
+def shared_params(params):
+    """Copy of a parameter container whose tensors share the original's storage
+    but hold their own gradients.
+
+    A second graph built over the copy at the same time as one over the
+    original reads the same weights and accumulates its gradients apart.
+    """
+    tensors = params.named_tensors().values()
+    out = copy.deepcopy(params, {id(t.data): t.data for t in tensors})
+    for t in out.named_tensors().values():
         t.grad = None
     return out
 

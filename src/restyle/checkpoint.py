@@ -89,7 +89,10 @@ def loads(data: bytes):
 
 def write_atomic(path, data: bytes):
     """Replace the file at `path` with `data` through a temporary file in the
-    same directory, so the path holds the old bytes or the new, never a part."""
+    same directory, so the path holds the old bytes or the new, never a part.
+
+    An `OSError` names `path`, not the temporary file.
+    """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -97,6 +100,8 @@ def write_atomic(path, data: bytes):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -202,13 +202,16 @@ def pair_errors(content, style, current, enc: Encoder,
                 alpha: float | None = None) -> tuple[ErrorBundle, FeatureStack]:
     """Error bundle of `current` toward (content, style), plus current's features.
 
-    Each image is encoded once. With `alpha` the bundle is mixed with the
-    errors toward the content's own Grams, alpha*style + (1-alpha)*content:
-    the runtime style-strength trade-off.
+    `content` is an image or its `FeatureStack`, and `style` an image or its
+    `gram_stack`, so targets encoded once can serve many calls; each image
+    given is encoded once. With `alpha` the bundle is mixed with the errors
+    toward the content's own Grams, alpha*style + (1-alpha)*content: the
+    runtime style-strength trade-off.
     """
     f_in = encode(current, enc)
-    c_stack = encode(content, enc)
-    bundle = errors_between(c_stack.stages[-1], gram_stack(encode(style, enc)), f_in)
+    c_stack = content if isinstance(content, FeatureStack) else encode(content, enc)
+    s_grams = style if isinstance(style, tuple) else gram_stack(encode(style, enc))
+    bundle = errors_between(c_stack.stages[-1], s_grams, f_in)
     if alpha is not None:
         toward_content = errors_between(c_stack.stages[-1], gram_stack(c_stack), f_in)
         bundle = mix_bundles(bundle, toward_content, alpha)

@@ -39,10 +39,15 @@ class StylizeResult:
 
 def refine_level(icing, content, style, params: LevelParams, enc: Encoder,
                  alpha: float | None = None) -> np.ndarray:
-    """One refinement: clamp(estimate + residual) at a single level."""
-    if icing.shape != content.shape or icing.shape != style.shape:
-        raise ContractError(f"refine_level: resolution mismatch {icing.shape} vs "
-                            f"{content.shape} vs {style.shape}")
+    """One refinement: clamp(estimate + residual) at a single level.
+
+    `content` and `style` are images at the estimate's resolution, or their
+    encoded targets as `encoder.pair_errors` takes them (training's frozen
+    prefix passes the ones its target cache holds).
+    """
+    shapes = [x.shape for x in (icing, content, style) if isinstance(x, np.ndarray)]
+    if any(shape != icing.shape for shape in shapes):
+        raise ContractError(f"refine_level: resolution mismatch {' vs '.join(map(str, shapes))}")
     residual = etnet_forward(content, style, icing, params, enc, alpha)
     return np.clip(icing + from_chw(residual.data), 0.0, 1.0).astype(np.float32)
 

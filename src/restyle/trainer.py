@@ -14,12 +14,31 @@ toward the range. With the exact clamp a saturated pixel gets no gradient,
 so nothing bounds the residual and outputs drift to near-binary values.
 Stylization itself uses the exact clamp. The weighted loss terms are summed
 in float64 (`combine_losses`).
+
+At levels whose images are at least `CONCURRENT_MIN_SIDE` pixels wide, the
+samples of a batch run two at a time: the calling thread takes one sample
+and one worker thread the next. Most of a sample's time is spent in numpy
+kernels that release the interpreter lock, so the two overlap on two cores.
+The worker's graph runs over `ad.shared_params`, so each sample accumulates
+its own gradients, and they are summed in sample order, g2 + g1 as
+`ad.backward` adds them, so trained weights and loss logs are byte-identical
+to running the samples one after the other. OpenBLAS is pinned to one thread
+for the span of each batch and set back to its previous count afterwards,
+also when the batch raises: with two BLAS threads each, the two samples ran
+slower than one after the other. Where numpy's OpenBLAS thread setter cannot
+be found, the samples run in order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
+import itertools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -297,7 +316,12 @@ def cosine_lr(base, step, total):
 class TargetCache:
     """Lazy per-(image, level) pyramids, encoder stacks and Gram tables
     (untracked) of a corpus. An image is keyed by (role, idx): role "c" is
-    `contents[idx]`, role "s" is `styles[idx]`."""
+    `contents[idx]`, role "s" is `styles[idx]`.
+
+    The two samples of a concurrent batch share one cache without a lock:
+    when both miss the same entry, both compute it, bit for bit the same,
+    and the later store is kept; neither waits for the other's encode.
+    """
 
     def __init__(self, enc: Encoder, depth: int, contents, styles):
         self.enc = enc
@@ -336,6 +360,13 @@ class TrainResult:
 # fixed-point behavior and adds target diversity in both roles
 IDENTITY_PAIR_PERIOD = 3
 RESIDUAL_INIT_RMS = 0.1
+
+# A level's samples run two at a time from this image side up. On a 2-vCPU
+# box, per step against the samples in order (acceptance config, batch 2):
+# 96 px -22 to -29%, 48 px -20 to -25%, 24 px +6 to +15%, where a sample
+# spends most of its time in Python, which holds the interpreter lock
+# (BENCH_parallel_batch.json).
+CONCURRENT_MIN_SIDE = 48
 
 
 def _calibrate_level(params: LevelParams, cfg: RunConfig, level: int, enc: Encoder,
@@ -397,7 +428,8 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
 
     `frozen` maps level number -> trained params for every level above
     `level`. Sampling, initialization, and accumulation order are fixed by
-    cfg.seed, so identical configs produce identical results.
+    cfg.seed, so identical configs produce identical results, whether a
+    batch's samples run concurrently or in order (see the module docstring).
     """
     depth = cfg.levels
     if not 1 <= level <= depth:
@@ -415,25 +447,26 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
         p.set_trainable(False)
     opt = Adam(params.tensors())
     cache = TargetCache(enc, depth, contents, styles)
-    rng = np.random.default_rng([cfg.seed, 100 + level])
+    samples = _sample_keys(np.random.default_rng([cfg.seed, 100 + level]),
+                           len(contents), len(styles))
+    concurrent = cfg.batch > 1 and cfg.image_size >> (level - 1) >= CONCURRENT_MIN_SIDE
+    blas = _blas_threads() if concurrent else None
     log_lines = []
-    sample_counter = 0
+
+    def run(level_params, keys):
+        return _train_sample(cfg, level, enc, frozen, level_params, cache, weights, *keys)
 
     for step in range(cfg.steps):
         opt.zero_grad()
+        batch = list(itertools.islice(samples, cfg.batch))
+        if blas is None:
+            rows = [run(params, keys) for keys in batch]
+        else:
+            with _one_blas_thread(*blas):
+                rows = _run_in_pairs(run, params, batch)
         sums = np.zeros(4)
-        for _ in range(cfg.batch):
-            ci = int(rng.integers(len(contents)))
-            si = int(rng.integers(len(styles)))
-            if sample_counter % IDENTITY_PAIR_PERIOD == IDENTITY_PAIR_PERIOD - 1:
-                if (sample_counter // IDENTITY_PAIR_PERIOD) % 2 == 0:
-                    keys = ("c", ci), ("c", ci)
-                else:
-                    keys = ("s", si), ("s", si)
-            else:
-                keys = ("c", ci), ("s", si)
-            sample_counter += 1
-            sums += _train_sample(cfg, level, enc, frozen, params, cache, weights, *keys)
+        for row in rows:
+            sums += row
         means = sums / cfg.batch
         if not np.all(np.isfinite(means)):
             raise TrainingDiverged(f"level {level} step {step}: non-finite loss {means}")
@@ -449,22 +482,98 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
     return TrainResult(params=params, log_lines=log_lines)
 
 
+def _sample_keys(rng, n_contents, n_styles):
+    """The (content key, style key) of each training sample, in order.
+
+    Every sample draws a content index, then a style index; every
+    IDENTITY_PAIR_PERIOD-th sample pairs one of them with itself instead.
+    """
+    for counter in itertools.count():
+        ci = int(rng.integers(n_contents))
+        si = int(rng.integers(n_styles))
+        if counter % IDENTITY_PAIR_PERIOD == IDENTITY_PAIR_PERIOD - 1:
+            if (counter // IDENTITY_PAIR_PERIOD) % 2 == 0:
+                yield ("c", ci), ("c", ci)
+            else:
+                yield ("s", si), ("s", si)
+        else:
+            yield ("c", ci), ("s", si)
+
+
+@functools.cache
+def _blas_threads():
+    """numpy's OpenBLAS (get, set) thread-count functions, or None if not found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(get, set_):
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _run_in_pairs(run, params, batch):
+    """Loss rows of `run(params, keys)` over a batch, two samples at a time.
+
+    The calling thread runs a sample over `params` while a worker thread runs
+    the next over a `shared_params` copy; the copy's gradients are then added
+    to the ones in `params` as `ad.backward` would have added them, so the sum
+    is the same as running the samples in order.
+    """
+    twin = ad.shared_params(params)
+    rows = []
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for i in range(0, len(batch), 2):
+            if i + 1 == len(batch):
+                rows.append(run(params, batch[i]))
+                break
+            # the worker sees the caller's numpy error state (np.errstate)
+            future = worker.submit(contextvars.copy_context().run, run, twin, batch[i + 1])
+            try:
+                rows.append(run(params, batch[i]))
+            finally:
+                rows.append(future.result())
+            for t, u in zip(params.tensors(), twin.tensors()):
+                if u.grad is not None:
+                    t.grad = u.grad if t.grad is None else u.grad + t.grad
+                    u.grad = None
+    return rows
+
+
 def _train_sample(cfg, level, enc, frozen, params, cache, weights, c_key, s_key):
     """One forward/backward pass of the `cache` images keyed `c_key` and `s_key`;
     returns (l_pc, l_ps, l_tv, total) floats."""
     depth = cfg.levels
-    c_chain = cache.level_images(*c_key)
-    s_chain = cache.level_images(*s_key)
-
-    # frozen coarse-to-fine prefix supplies this level's starting estimate
-    icing = start_estimate(c_chain[depth - 1])
-    for j in range(depth, level, -1):
-        icing = refine_level(icing, c_chain[j - 1], s_chain[j - 1], frozen[j], enc)
-        icing = upsample(icing)
-
     levels = range(level, depth + 1)
-    targets = level_targets([cache.features(*c_key, j) for j in levels],
-                            [cache.features(*s_key, j) for j in levels])
+    c_feats = [cache.features(*c_key, j) for j in levels]
+    s_feats = [cache.features(*s_key, j) for j in levels]
+
+    # frozen coarse-to-fine prefix supplies this level's starting estimate,
+    # refined toward the cached targets
+    icing = start_estimate(cache.level_images(*c_key)[depth - 1])
+    for j in range(depth, level, -1):
+        (c_stack, _), (_, s_grams) = c_feats[j - level], s_feats[j - level]
+        icing = upsample(refine_level(icing, c_stack, s_grams, frozen[j], enc))
+
+    targets = level_targets(c_feats, s_feats)
     total, l_pc, l_ps, l_tv = sample_objective(_as_image_tensor(icing), targets, params, enc,
                                                level, weights)
     ad.backward(total)

@@ -209,8 +209,43 @@ class TestBandedColumns:
             assert wgt.grad is None
 
     def test_trainable_weight_gets_one_full_gemm(self, monkeypatch):
+        """A trainable 48->16 conv of a 96 px map: the forward pass runs in bands
+        of 19-20 rows, and the backward pass rebuilds the full columns for one
+        weight-gradient GEMM. out, weight.grad and x.grad keep the bits of the
+        full GEMM."""
+        calls = []
+        im2col = ad._im2col
+        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[4]) or im2col(*a))
+        for k, pad, stride in self.CASES:
+            rng = np.random.default_rng(k * 10 + pad + 3)
+            c_in, c_out, h, w = 48, 16, 95 + stride, 93 + stride
+            ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+            row_bytes = c_in * k * k * wo * 4
+            monkeypatch.setattr(ad, "COLUMN_BYTES", 20 * row_bytes + row_bytes // 2)
+            calls.clear()
+            x = Tensor(rng.standard_normal((c_in, h, w)).astype(np.float32), requires_grad=True)
+            wgt = Tensor(rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
+                         requires_grad=True)
+            out = ad.conv2d(x, ConvParams(weight=wgt, stride=stride, padding=pad))
+            n = -(-ho // 20)
+            assert [len(r) for r in calls] == [ho * (i + 1) // n - ho * i // n for i in range(n)]
+            assert len(calls) >= 3
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            assert calls[n:] == [range(ho)]
+            col = padded_columns(x.data, k, stride, pad)
+            w2, g2 = wgt.data.reshape(c_out, -1), g.reshape(c_out, -1)
+            assert out.data.tobytes() == (w2 @ col).tobytes()
+            assert wgt.grad.tobytes() == (g2 @ col.T).reshape(wgt.shape).tobytes()
+            dx = ad._col2im(w2.T @ g2, x.data, k, stride, pad, ho, wo)
+            assert x.grad.tobytes() == dx.tobytes()
+
+    @pytest.mark.parametrize("keep_bytes", [1 << 20, 0])
+    def test_small_trainable_columns_are_kept(self, monkeypatch, keep_bytes):
+        """Full columns up to KEEP_COLUMN_BYTES are built once and kept for the
+        weight gradient; over it they are built again, to the same bits."""
         rng = np.random.default_rng(3)
-        monkeypatch.setattr(ad, "COLUMN_BYTES", 1)
+        monkeypatch.setattr(ad, "KEEP_COLUMN_BYTES", keep_bytes)
         calls = []
         im2col = ad._im2col
         monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[4]) or im2col(*a))
@@ -219,10 +254,26 @@ class TestBandedColumns:
         g = rng.standard_normal((6, 9, 11)).astype(np.float32)
         out = ad.conv2d(x, ConvParams(weight=wgt, padding=1))
         ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
-        assert calls == [range(9)]
+        assert calls == [range(9)] * (1 if keep_bytes else 2)
         col = padded_columns(x.data, 3, 1, 1)
         assert out.data.tobytes() == (wgt.data.reshape(6, -1) @ col).tobytes()
         assert wgt.grad.tobytes() == (g.reshape(6, -1) @ col.T).reshape(wgt.shape).tobytes()
+
+    def test_trainable_conv_keeps_no_columns(self):
+        """Between its forward and backward pass a trainable 48->16 3x3 conv of a
+        96 px map holds its output, not its 16 MB column matrix."""
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((48, 96, 96)).astype(np.float32), requires_grad=True)
+        wgt = Tensor(rng.standard_normal((16, 48, 3, 3)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, ConvParams(weight=wgt, padding=1))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < out.data.nbytes + (1 << 20) < 48 * 9 * 96 * 96 * 4
+        ad.backward(ad.sum_all(out))
+        assert wgt.grad.shape == wgt.shape and x.grad.shape == x.shape
 
     def test_frozen_conv_memory_is_bounded(self):
         """A 48->16 3x3 conv of a 384 px map, whose full columns would take 255 MB."""
@@ -445,6 +496,14 @@ class TestBackward:
         ad.backward(loss)
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, 2 * np.ones(3) + 1e-9, atol=1e-6)
+
+    def test_only_leaves_keep_grad(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = ad.mul(x, x)
+        loss = ad.sum_all(y)
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+        assert y.grad is None and loss.grad is None
 
     def test_non_scalar_loss_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)

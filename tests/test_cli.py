@@ -74,6 +74,16 @@ class TestTrainCommand:
         a = checkpoint.read(tmp_path / "m" / "level2.ckpt")
         assert len(a) > 0
 
+    def test_out_in_missing_directory_names_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(TINY.format(dir=tmp_path / "m")
+                                          .replace("steps = 2", "steps = 0"))
+        out = os.path.join("missing", "x.ckpt")
+        assert main(["train", "--config", "run.cfg", "--level", "2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: file: ") and err.endswith(f": {out}\n")
+        assert err.count("\n") == 1
+
     def test_deterministic_checkpoints(self, tmp_path):
         outs = []
         for name in ("m1", "m2"):

@@ -60,6 +60,18 @@ class TestRefineLevel:
         assert (out[low] == 0).all() and (out[high] == 1).all()
         np.testing.assert_array_equal(out[~low & ~high], raw[~low & ~high])
 
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_encoded_targets_match_images(self, model, alpha):
+        """The content's FeatureStack and the style's Gram stack, as training's
+        target cache passes them, give the output of the images, bit for bit."""
+        icing, content, style = rand_img(0, 24), rand_img(1, 24), rand_img(2, 24)
+        enc = model.encoder
+        encoded = refine_level(icing, enc_mod.encode(content, enc),
+                               enc_mod.gram_stack(enc_mod.encode(style, enc)),
+                               model.levels[1], enc, alpha)
+        direct = refine_level(icing, content, style, model.levels[1], enc, alpha)
+        assert encoded.tobytes() == direct.tobytes()
+
     def test_resolution_mismatch_raises(self, model):
         with pytest.raises(ContractError):
             refine_level(rand_img(0, 16), rand_img(1, 24), rand_img(2, 24),

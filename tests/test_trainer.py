@@ -1,5 +1,9 @@
 """Loss oracles, weighting conformance, optimizer, and smoke training."""
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,9 +16,10 @@ from restyle.encoder import encode, gram_stack, make_encoder
 from restyle.errors import ConfigError, ContractError, TrainingDiverged
 from restyle.images import downsample
 from restyle.stylizer import start_estimate
-from restyle.trainer import (Adam, LossWeights, TrainResult, combine_losses, content_loss,
-                             cosine_lr, evaluate, init_level_params, recovering_clamp01,
-                             style_loss, total_loss, train_level, tv_loss)
+from restyle import trainer
+from restyle.trainer import (Adam, LossWeights, TargetCache, TrainResult, combine_losses,
+                             content_loss, cosine_lr, evaluate, init_level_params,
+                             recovering_clamp01, style_loss, total_loss, train_level, tv_loss)
 from restyle.transition import etnet_forward
 
 from test_encoder import rand_img
@@ -298,3 +303,142 @@ class TestTrainLevel:
             assert len(parts) == 5
             for p in parts[1:]:
                 float(p)
+
+
+def test_frozen_prefix_uses_cached_targets(enc, monkeypatch):
+    """The prefix refines toward the cache's encodings of the pair's images, to
+    the bits of refining toward the images themselves."""
+    cfg = tiny_config()
+    contents, styles = make_corpus(CorpusSpec(seed=cfg.seed, size=cfg.image_size,
+                                              content_count=cfg.content_count,
+                                              style_count=cfg.style_count))
+    frozen = {2: init_level_params(cfg, 2, enc, contents, styles).set_trainable(False)}
+    cache = TargetCache(enc, cfg.levels, contents, styles)
+    outputs = []
+    refine = trainer.refine_level
+    monkeypatch.setattr(trainer, "refine_level",
+                        lambda *a: outputs.append(refine(*a)) or outputs[-1])
+    trainer._train_sample(cfg, 1, enc, frozen, init_level_params(cfg, 1, enc, contents, styles),
+                          cache, LossWeights.from_config(cfg), ("c", 1), ("s", 0))
+    c2, s2 = cache.level_images("c", 1)[1], cache.level_images("s", 0)[1]
+    want = refine(start_estimate(c2), c2, s2, frozen[2], enc)
+    assert len(outputs) == 1 and outputs[0].tobytes() == want.tobytes()
+
+
+def sequential_training(cfg, level, enc, frozen, contents, styles):
+    """train_level's schedule with the samples of each batch run one after the
+    other in this thread: (params, log lines)."""
+    params = init_level_params(cfg, level, enc, contents, styles)
+    opt = Adam(params.tensors())
+    cache = TargetCache(enc, cfg.levels, contents, styles)
+    weights = LossWeights.from_config(cfg)
+    rng = np.random.default_rng([cfg.seed, 100 + level])
+    lines = []
+    n = 0
+    for step in range(cfg.steps):
+        opt.zero_grad()
+        sums = np.zeros(4)
+        for _ in range(cfg.batch):
+            ci, si = int(rng.integers(len(contents))), int(rng.integers(len(styles)))
+            if n % 3 == 2:
+                keys = (("c", ci),) * 2 if (n // 3) % 2 == 0 else (("s", si),) * 2
+            else:
+                keys = ("c", ci), ("s", si)
+            n += 1
+            sums += trainer._train_sample(cfg, level, enc, frozen, params, cache, weights, *keys)
+        for t in params.tensors():
+            if t.grad is not None:
+                t.grad /= cfg.batch
+        opt.step(cosine_lr(cfg.lr, step, cfg.steps))
+        lines.append(f"{step}\t" + "\t".join(repr(float(v)) for v in sums / cfg.batch))
+    return params, lines
+
+
+class TestConcurrentBatch:
+    """train_level runs a batch's samples two at a time on two threads."""
+
+    @pytest.fixture
+    def setting(self, enc, monkeypatch):
+        """A tiny two-level setting whose levels both run concurrently, with a
+        record of the thread and BLAS thread count of every sample."""
+        monkeypatch.setattr(trainer, "CONCURRENT_MIN_SIDE", 0)
+        seen = []
+        blas = trainer._blas_threads()
+        sample = trainer._train_sample
+
+        def recorded(*args):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         blas[0]() if blas else None))
+            return sample(*args)
+
+        monkeypatch.setattr(trainer, "_train_sample", recorded)
+        cfg = tiny_config()
+        contents, styles = make_corpus(CorpusSpec(seed=cfg.seed, size=cfg.image_size,
+                                                  content_count=cfg.content_count,
+                                                  style_count=cfg.style_count))
+        frozen = {2: init_level_params(cfg, 2, enc, contents, styles).set_trainable(False)}
+        return dict(enc=enc, contents=contents, styles=styles, frozen=frozen, seen=seen,
+                    blas=blas, sample=sample)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    def test_matches_sequential_samples(self, setting, batch):
+        if setting["blas"] is None:
+            pytest.skip("numpy's OpenBLAS thread setter not found: batches run in order")
+        cfg = tiny_config(batch=batch, steps=3)
+        got = train_level(cfg, 1, setting["enc"], dict(setting["frozen"]),
+                          contents=setting["contents"], styles=setting["styles"])
+        workers = [not main for main, _ in setting["seen"]]
+        assert len(workers) == 3 * batch
+        assert sum(workers) == 3 * (batch // 2)
+        if batch > 1:
+            assert all(threads == 1 for _, threads in setting["seen"])
+        want, lines = sequential_training(cfg, 1, setting["enc"], dict(setting["frozen"]),
+                                          setting["contents"], setting["styles"])
+        assert got.log_lines == lines
+        for (name, a), b in zip(got.params.named_tensors().items(), want.tensors()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+
+    def test_matches_sequential_under_fast_thread_switching(self, setting):
+        """Threads switched every 10 us, so a shared gradient slot or an
+        unordered sum would show as changed bits."""
+        if setting["blas"] is None:
+            pytest.skip("numpy's OpenBLAS thread setter not found: batches run in order")
+        cfg = tiny_config(batch=4, steps=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = train_level(cfg, 1, setting["enc"], dict(setting["frozen"]),
+                              contents=setting["contents"], styles=setting["styles"])
+        finally:
+            sys.setswitchinterval(interval)
+        want, lines = sequential_training(cfg, 1, setting["enc"], dict(setting["frozen"]),
+                                          setting["contents"], setting["styles"])
+        assert got.log_lines == lines
+        for a, b in zip(got.params.tensors(), want.tensors()):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_blas_threads_restored(self, setting, monkeypatch):
+        blas = setting["blas"]
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS thread setter not found")
+        before = blas[0]()
+        args = (setting["enc"], dict(setting["frozen"]))
+        kwargs = dict(contents=setting["contents"], styles=setting["styles"])
+        train_level(tiny_config(steps=1), 1, *args, **kwargs)
+        assert blas[0]() == before
+        # the worker thread keeps the caller's np.errstate: no overflow warning
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDiverged, match="gradient"):
+                train_level(tiny_config(steps=1, lambda_pc=1e39), 1, *args, **kwargs)
+        assert blas[0]() == before
+
+        def failing(*a):
+            if threading.current_thread() is not threading.main_thread():
+                raise ContractError("sample failed")
+            return setting["sample"](*a)
+
+        monkeypatch.setattr(trainer, "_train_sample", failing)
+        with pytest.raises(ContractError, match="sample failed"):
+            train_level(tiny_config(steps=1), 1, *args, **kwargs)
+        assert blas[0]() == before
