@@ -398,11 +398,14 @@ def gram(f):
 
 @dataclass
 class ConvParams:
-    """2-d convolution parameters: weight (C_out, C_in, k, k), optional bias."""
+    """2-d convolution parameters: weight (C_out, C_in, k, k) and zero padding.
+
+    Every conv is stride 1 and bias-free: the model changes scale only by
+    `avgpool2x` and `upsample_nearest2x` between stages, and a bias-free
+    error path is exactly zero on a zero error bundle (see `transition`).
+    """
 
     weight: Tensor
-    bias: Tensor | None = None
-    stride: int = 1
     padding: int = 0
 
     def __post_init__(self):
@@ -411,60 +414,54 @@ class ConvParams:
             raise ContractError(f"ConvParams: weight must be (C_out, C_in, k, k), got {w.shape}")
         if w.shape[2] not in (1, 3):
             raise ContractError(f"ConvParams: kernel size {w.shape[2]} not supported")
-        if self.bias is not None and self.bias.shape != (w.shape[0],):
-            raise ContractError(f"ConvParams: bias shape {self.bias.shape} != ({w.shape[0]},)")
-        if self.stride < 1:
-            raise ContractError("ConvParams: stride must be positive")
         if self.padding < 0:
             raise ContractError("ConvParams: padding must be non-negative")
 
 
-def _spans(k, stride, pad, n, first, last):
+def _spans(k, pad, n, first, last):
     """Per tap offset along one axis of length n, the outputs that read inside it.
 
-    Output o of tap t reads input stride*o + t - pad. For outputs o in
+    Output o of tap t reads input o + t - pad (stride 1). For outputs o in
     [first, last), returns (t, out, inp) for each tap t that reads inside
     [0, n) somewhere: `out` is the span of such outputs, counted from
-    `first`, and `inp` the (strided) span of inputs they read. Outside `out`
-    the tap reads the zero border, which is never built; a tap that reads
-    only border is left out. A 2-d tap (ky, kx) pairs a row span with a
-    column span.
+    `first`, and `inp` the span of inputs they read. Outside `out` the tap
+    reads the zero border, which is never built; a tap that reads only
+    border is left out. A 2-d tap (ky, kx) pairs a row span with a column
+    span.
     """
     spans = []
     for t in range(k):
-        lo = max(first, -((t - pad) // stride))  # first o with stride*o + t - pad >= 0
-        hi = min(last, (n - 1 + pad - t) // stride + 1)
+        lo = max(first, pad - t)  # first o with o + t - pad >= 0
+        hi = min(last, n + pad - t)
         if hi > lo:
-            start = stride * lo + t - pad
             spans.append((t, slice(lo - first, hi - first),
-                          slice(start, start + stride * (hi - lo - 1) + 1, stride)))
+                          slice(lo + t - pad, hi + t - pad)))
     return spans
 
 
-def _im2col(x, k, stride, pad, rows, wo):
+def _im2col(x, k, pad, rows, wo):
     """Column matrix of a (C, H, W) input for the output rows `rows`, a range.
 
     The shape is (C*k*k, len(rows)*Wo). Row (c, ky, kx) holds what tap
     (ky, kx) reads from channel c at each output pixel of those rows, so
     their conv output is one GEMM of the (C_out, C*k*k) weight by it;
     `range(Ho)` gives the full matrix. Each tap's in-map window is copied
-    into a zeroed buffer, so the padded input is never built. A 1x1
-    stride-1 unpadded conv uses the input's rows themselves, reshaped
-    without a copy.
+    into a zeroed buffer, so the padded input is never built. An unpadded
+    1x1 conv uses the input's rows themselves, reshaped without a copy.
     """
     c, h, w = x.shape
-    if k == 1 and stride == 1 and pad == 0:  # every 1x1 conv in the model
+    if k == 1 and pad == 0:  # every 1x1 conv in the model
         return x[:, rows.start:rows.stop].reshape(c, len(rows) * w)
     n = len(rows)
     col = np.zeros((c, k, k, n, wo), dtype=x.dtype)
-    ys = _spans(k, stride, pad, h, rows.start, rows.stop)
-    xs = _spans(k, stride, pad, w, 0, wo)
+    ys = _spans(k, pad, h, rows.start, rows.stop)
+    xs = _spans(k, pad, w, 0, wo)
     for (ky, oy, iy), (kx, ox, ix) in itertools.product(ys, xs):
         col[:, ky, kx, oy, ox] = x[:, iy, ix]
     return col.reshape(c * k * k, n * wo)
 
 
-def _col2im(dcol, x, k, stride, pad, ho, wo):
+def _col2im(dcol, x, k, pad, ho, wo):
     """Adjoint of `_im2col`: scatter-add column gradients onto x's shape.
 
     Each tap's window is added into an unpadded zero buffer in tap order:
@@ -474,12 +471,12 @@ def _col2im(dcol, x, k, stride, pad, ho, wo):
     columns the column gradient is dx, reshaped.
     """
     c, h, w = x.shape
-    if k == 1 and stride == 1 and pad == 0:
+    if k == 1 and pad == 0:
         return dcol.reshape(c, h, w)
     dcol = dcol.reshape(c, k, k, ho, wo)
     dx = np.zeros((c, h, w), dtype=x.dtype)
-    ys = _spans(k, stride, pad, h, 0, ho)
-    xs = _spans(k, stride, pad, w, 0, wo)
+    ys = _spans(k, pad, h, 0, ho)
+    xs = _spans(k, pad, w, 0, wo)
     for (ky, oy, iy), (kx, ox, ix) in itertools.product(ys, xs):
         dx[:, iy, ix] += dcol[:, ky, kx, oy, ox]
     return dx
@@ -498,14 +495,17 @@ KEEP_COLUMN_BYTES = 1 << 20
 
 
 def conv2d(x, p):
-    """2-d convolution (cross-correlation) of a (C, H, W) map.
+    """Stride-1, bias-free 2-d convolution (cross-correlation) of a (C, H, W) map.
 
-    The output is the reshaped weight times the `_im2col` columns. The output
-    rows are split evenly into the fewest bands whose columns fit in
-    `COLUMN_BYTES`; each band's GEMM writes its rows of the output, so the
-    columns take O(band) memory rather than O(H*W). Each output element is
-    the same dot product as in one full GEMM, and its bits match while BLAS
-    runs every band with the kernel it uses for the full product. OpenBLAS
+    The output is (C_out, H + 2*pad - k + 1, W + 2*pad - k + 1); the model's
+    3x3 convs with padding 1 and 1x1 convs without keep the map's size
+    (`ConvParams` says why there is no stride or bias). It is the reshaped
+    weight times the `_im2col` columns. The output rows are split evenly
+    into the fewest bands whose columns fit in `COLUMN_BYTES`; each band's
+    GEMM writes its rows of the output, so the columns take O(band) memory
+    rather than O(H*W). Each output element is the same dot product as in
+    one full GEMM, and its bits match while BLAS runs every band with the
+    kernel it uses for the full product. OpenBLAS
     sums GEMMs under about 1e6 multiply-adds with other kernels; even bands
     are never under a quarter of the budget, which keeps the model's float32
     bands above that (TestBandedColumns in tests/test_autodiff.py checks the
@@ -523,18 +523,14 @@ def conv2d(x, p):
     twice.
     """
     _check_chw(x, "conv2d")
-    weight, bias, stride, pad = p.weight, p.bias, p.stride, p.padding
+    weight, pad = p.weight, p.padding
     c_out, c_in, k, _ = weight.shape
     c, h, w = x.shape
     if c != c_in:
         raise ContractError(f"conv2d: input has {c} channels, weight expects {c_in}")
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ContractError(f"conv2d: padded input {h}x{w} (pad {pad}) smaller than kernel {k}")
-    if (h + 2 * pad - k) % stride or (w + 2 * pad - k) % stride:
-        raise ContractError(f"conv2d: non-integer output size for input {h}x{w}, "
-                            f"k={k}, stride={stride}, pad={pad}")
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
 
     w2 = weight.data.reshape(c_out, c_in * k * k)
     rows_per_band = max(1, COLUMN_BYTES // (c_in * k * k * wo * x.dtype.itemsize))
@@ -545,48 +541,43 @@ def conv2d(x, p):
     kept = None
     for i in range(n):
         rows = range(ho * i // n, ho * (i + 1) // n)
-        col = _im2col(x.data, k, stride, pad, rows, wo)
+        col = _im2col(x.data, k, pad, rows, wo)
         np.matmul(w2, col, out=out[:, rows.start * wo:rows.stop * wo])
         if keep:
             kept = col
         del col  # before the next band is built
-    if bias is not None:
-        out = out + bias.data[:, None]
 
     def bw(g):
         g2 = g.reshape(c_out, ho * wo)
         if weight.requires_grad:
-            col = kept if keep else _im2col(x.data, k, stride, pad, range(ho), wo)
+            col = kept if keep else _im2col(x.data, k, pad, range(ho), wo)
             accumulate(weight, (g2 @ col.T).reshape(weight.shape))
             del col  # before the column gradient is built
-        if bias is not None and bias.requires_grad:
-            accumulate(bias, g2.sum(axis=1))
         if x.requires_grad:
-            accumulate(x, _col2im(w2.T @ g2, x.data, k, stride, pad, ho, wo))
+            accumulate(x, _col2im(w2.T @ g2, x.data, k, pad, ho, wo))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return record(out.reshape(c_out, ho, wo), parents, bw)
+    return record(out.reshape(c_out, ho, wo), (x, weight), bw)
 
 
 # ---------------------------------------------------------------------------
 # parameter initialization
 
-def orthogonal_matrix(rng, rows, cols, dtype=DEFAULT_DTYPE):
-    """Orthogonal(-ish) rows: QR of a Gaussian draw, sign-fixed for determinism."""
+def orthogonal_matrix(rng, rows, cols):
+    """Orthogonal(-ish) float32 rows: QR of a Gaussian draw, sign-fixed for determinism."""
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(a)
     q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
     if rows < cols:
         q = q.T
-    return q[:rows, :cols].astype(dtype)
+    return q[:rows, :cols].astype(DEFAULT_DTYPE)
 
 
-def conv_weight(rng, c_out, c_in, k, gain, dtype=DEFAULT_DTYPE):
+def conv_weight(rng, c_out, c_in, k, gain):
     """Variance-preserving conv weight: orthogonal rows scaled by gain/sqrt(fan_in)."""
     fan_in = c_in * k * k
-    w = orthogonal_matrix(rng, c_out, fan_in, dtype=dtype)
+    w = orthogonal_matrix(rng, c_out, fan_in)
     # QR columns are unit-norm; rescale so each filter has norm gain
-    return Tensor((w * gain).reshape(c_out, c_in, k, k).astype(dtype))
+    return Tensor((w * gain).reshape(c_out, c_in, k, k))
 
 
 # ---------------------------------------------------------------------------

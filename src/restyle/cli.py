@@ -27,6 +27,7 @@ def _write_image(path, img):
 
 def cmd_train(args):
     cfg = load_config(args.config)
+    trainer.check_level(cfg, args.level)  # before anything is written to model_dir
     enc = trainer.make_model_encoder(cfg)
     trainer.init_model_dir(cfg.model_dir, cfg, enc)
     frozen = trainer.load_frozen_levels(cfg.model_dir, cfg, args.level)

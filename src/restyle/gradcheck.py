@@ -66,7 +66,7 @@ def rel_error(analytic, numeric, floor=1e-6):
     return np.abs(analytic - numeric) / denom
 
 
-def check_gradients(build, seed, eps=EPS, max_coords=None):
+def check_gradients(build, seed, max_coords=None):
     """Return the max relative error between analytic and numeric gradients.
 
     `build(rng)` returns (leaves, forward) where every leaf is a float64
@@ -93,13 +93,13 @@ def check_gradients(build, seed, eps=EPS, max_coords=None):
         else:
             coords = coord_rng.choice(n, size=max_coords, replace=False)
         for i in coords:
-            numeric = _central(forward, flat, i, eps)
+            numeric = _central(forward, flat, i, EPS)
             err = float(rel_error(ana.reshape(-1)[i], numeric))
             # a relu kink inside the eps-interval invalidates the FD
             # estimate; the evidence is eps-instability of the numeric value
             # itself, in which case a refined estimate decides instead
-            e = eps
-            while err > 1e-6 and e > eps / 5000:
+            e = EPS
+            while err > 1e-6 and e > EPS / 5000:
                 refined = _central(forward, flat, i, e / 16)
                 if float(rel_error(numeric, refined)) <= 1e-6:
                     break  # stable estimate: the disagreement stands
@@ -134,8 +134,8 @@ class GradCase:
     max_coords: int | None = None
 
 
-def _conv2d(x, w, b):
-    return ad.conv2d(x, ConvParams(weight=w, bias=b, padding=1))
+def _conv2d(x, w):
+    return ad.conv2d(x, ConvParams(weight=w, padding=1))
 
 
 def _nonlocal(wh, wu, wg, err, f_in):
@@ -221,7 +221,7 @@ def _build_etnet(rng):
 def standard_suite():
     """Every differentiable operation, checked over >= 5 seeded instances."""
     return [
-        GradCase("conv2d", case(_conv2d, ((3, 6, 6), 1.0), _conv_spec(3, 4, 3), ((4,), 0.1))),
+        GradCase("conv2d", case(_conv2d, ((3, 6, 6), 1.0), _conv_spec(3, 4, 3))),
         GradCase("avgpool2x", case(ad.avgpool2x, ((2, 4, 6), 1.0))),
         GradCase("upsample_nearest2x", case(ad.upsample_nearest2x, ((2, 3, 3), 1.0))),
         GradCase("matmul", case(ad.matmul, ((4, 3), 1.0), ((3, 5), 1.0))),

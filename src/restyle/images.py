@@ -110,7 +110,7 @@ def pyramid(img, levels):
     return chain
 
 
-def build_level_inputs(content, style, levels=3):
+def build_level_inputs(content, style, levels):
     """Per-level (content, style) pairs, coarsest (level `levels`) first.
 
     Level k is the input downsampled (k-1) times; level 1 is full resolution.

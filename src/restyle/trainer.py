@@ -259,15 +259,14 @@ def sample_objective(icing_t, targets: LevelTargets, params: LevelParams, enc, l
     return level_objective(stylized, targets, level, enc, weights, zero_residual=zero_res)
 
 
-def total_loss(stylized, content, style, level, depth, enc, weights: LossWeights,
-               zero_residual=None):
+def total_loss(stylized, content, style, level, depth, enc, weights: LossWeights):
     """Weighted objective of a stylized image at one level, with targets pooled
     from the content and style images (training uses `sample_objective`)."""
     cs, c, s = (_as_image_tensor(x) for x in (stylized, content, style))
     if not cs.shape == c.shape == s.shape:
         raise ContractError(f"total_loss: image shapes differ: {cs.shape}, {c.shape}, {s.shape}")
     targets = image_targets(c, s, depth - level + 1, enc)
-    return level_objective(cs, targets, level, enc, weights, zero_residual)[0]
+    return level_objective(cs, targets, level, enc, weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +412,17 @@ def _calibrate_level(params: LevelParams, cfg: RunConfig, level: int, enc: Encod
                    target=RESIDUAL_INIT_RMS)
 
 
-def init_level_params(cfg: RunConfig, level: int, enc: Encoder | None = None,
-                      contents=None, styles=None) -> LevelParams:
-    """Seeded level initialization, magnitude-calibrated when probes are given."""
+def init_level_params(cfg: RunConfig, level: int, enc: Encoder, contents, styles) -> LevelParams:
+    """Seeded level initialization, magnitude-calibrated on probes of the corpus."""
     params = make_level_params([cfg.seed, 50 + level], channels=cfg.channels, trainable=False)
-    if enc is not None and contents and styles:
-        _calibrate_level(params, cfg, level, enc, contents, styles)
+    _calibrate_level(params, cfg, level, enc, contents, styles)
     return params.set_trainable(True)
+
+
+def check_level(cfg: RunConfig, level: int):
+    """Raise `ConfigError` unless `level` is one of the config's pyramid levels."""
+    if not 1 <= level <= cfg.levels:
+        raise ConfigError(f"level {level} outside 1..{cfg.levels}")
 
 
 def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, LevelParams],
@@ -431,9 +434,8 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
     cfg.seed, so identical configs produce identical results, whether a
     batch's samples run concurrently or in order (see the module docstring).
     """
+    check_level(cfg, level)
     depth = cfg.levels
-    if not 1 <= level <= depth:
-        raise ConfigError(f"level {level} outside 1..{depth}")
     for j in range(level + 1, depth + 1):
         if j not in frozen:
             raise ConfigError(f"missing trained checkpoint for coarser level {j}")
@@ -644,8 +646,7 @@ def init_model_dir(model_dir, cfg: RunConfig, enc: Encoder):
         if read_text(snap_path) != snapshot:
             raise ConfigError(f"{snap_path} exists with a different configuration")
     else:
-        with open(snap_path, "w", encoding="utf-8") as fh:
-            fh.write(snapshot)
+        checkpoint.write_atomic(snap_path, snapshot.encode("utf-8"))
     enc_path = os.path.join(model_dir, ENCODER_FILE)
     state = {k: t.data for k, t in enc.named_tensors().items()}
     if os.path.exists(enc_path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ConvParams, Tensor, load_state  # noqa: F401 (re-exported)
+from .autodiff import ConvParams, Tensor
 from .encoder import Encoder, ErrorBundle, FeatureStack, fuse, pair_errors
 from .errors import ContractError
 

@@ -57,7 +57,7 @@ class TestConv2d:
         x = Tensor(np.ones((2, 3, 3)))
         w = np.zeros((1, 2, 1, 1), dtype=np.float32)
         w[0, 0], w[0, 1] = 2.0, 3.0
-        p = ConvParams(weight=Tensor(w), bias=Tensor(np.zeros(1)))
+        p = ConvParams(weight=Tensor(w))
         out = ad.conv2d(x, p)
         np.testing.assert_allclose(out.data, np.full((1, 3, 3), 5.0))
 
@@ -71,23 +71,9 @@ class TestConv2d:
         pad = int(rng.integers(0, 2))
         x = rng.standard_normal((c_in, h, w)).astype(np.float32)
         wgt = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
-        bias = rng.standard_normal(c_out).astype(np.float32)
-        p = ConvParams(weight=Tensor(wgt), bias=Tensor(bias), padding=pad)
+        p = ConvParams(weight=Tensor(wgt), padding=pad)
         got = ad.conv2d(Tensor(x), p).data
-        want = conv2d_loops(x.astype(np.float64), wgt.astype(np.float64),
-                            bias.astype(np.float64), 1, pad)
-        np.testing.assert_allclose(got, want, atol=1e-5)
-
-    @pytest.mark.parametrize("k,pad", [(3, 1), (3, 0), (1, 0), (1, 1)])
-    def test_matches_loop_oracle_stride2(self, k, pad):
-        rng = np.random.default_rng(40 + k + pad)
-        x = rng.standard_normal((3, 7, 9)).astype(np.float32)
-        wgt = rng.standard_normal((2, 3, k, k)).astype(np.float32)
-        bias = rng.standard_normal(2).astype(np.float32)
-        p = ConvParams(weight=Tensor(wgt), bias=Tensor(bias), stride=2, padding=pad)
-        got = ad.conv2d(Tensor(x), p).data
-        want = conv2d_loops(x.astype(np.float64), wgt.astype(np.float64),
-                            bias.astype(np.float64), 2, pad)
+        want = conv2d_loops(x.astype(np.float64), wgt.astype(np.float64), None, 1, pad)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-5)
 
@@ -137,74 +123,68 @@ class TestConv2d:
         with pytest.raises(ContractError):
             ad.conv2d(x, p)
 
-    def test_non_integer_output_raises(self):
-        x = Tensor(np.zeros((1, 4, 4)))
-        p = ConvParams(weight=Tensor(np.zeros((1, 1, 3, 3))), stride=2)
-        with pytest.raises(ContractError):
-            ad.conv2d(x, p)
-
     def test_kernel_size_restricted(self):
         with pytest.raises(ContractError):
             ConvParams(weight=Tensor(np.zeros((1, 1, 5, 5))))
 
 
-def padded_columns(x, k, stride, pad):
+def padded_columns(x, k, pad):
     """Full column matrix of a (C, H, W) array through np.pad: the reference im2col."""
     c, h, w = x.shape
-    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     col = np.empty((c, k, k, ho, wo), dtype=x.dtype)
     for ky in range(k):
         for kx in range(k):
-            col[:, ky, kx] = xp[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride]
+            col[:, ky, kx] = xp[:, ky:ky + ho, kx:kx + wo]
     return col.reshape(c * k * k, ho * wo)
 
 
 class TestBandedColumns:
     """A frozen weight builds its columns in bands of output rows under COLUMN_BYTES."""
 
-    CASES = [(3, 1, 1), (3, 0, 1), (3, 2, 1), (1, 0, 1), (3, 1, 2), (1, 1, 1)]  # k, pad, stride
+    CASES = [(3, 1), (3, 0), (3, 2), (1, 0), (1, 1)]  # k, pad
 
-    @pytest.mark.parametrize("k,pad,stride", CASES)
-    def test_band_columns_equal_padded_columns(self, k, pad, stride):
+    @pytest.mark.parametrize("k,pad", CASES)
+    def test_band_columns_equal_padded_columns(self, k, pad):
         """Every band of 1 to 5 rows is its slice of the np.pad columns."""
         rng = np.random.default_rng(k * 10 + pad)
         x = rng.standard_normal((3, 9, 7)).astype(np.float32)
-        full = padded_columns(x, k, stride, pad)
-        ho, wo = (9 + 2 * pad - k) // stride + 1, (7 + 2 * pad - k) // stride + 1
+        full = padded_columns(x, k, pad)
+        ho, wo = 9 + 2 * pad - k + 1, 7 + 2 * pad - k + 1
         for r0 in range(ho):
             for r1 in range(r0 + 1, min(ho, r0 + 5) + 1):
-                got = ad._im2col(x, k, stride, pad, range(r0, r1), wo)
+                got = ad._im2col(x, k, pad, range(r0, r1), wo)
                 assert got.tobytes() == np.ascontiguousarray(full[:, r0 * wo:r1 * wo]).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k,pad,stride", CASES)
+    @pytest.mark.parametrize("k,pad", CASES)
     @pytest.mark.parametrize("x_grad", [False, True])
-    def test_bands_bitwise_equal_full_gemm(self, monkeypatch, dtype, k, pad, stride, x_grad):
+    def test_bands_bitwise_equal_full_gemm(self, monkeypatch, dtype, k, pad, x_grad):
         """A 48->16 conv of a 96 px map in bands of 19-20 rows: out and dx keep their bits.
 
         Bands this large keep each GEMM above 1e6 multiply-adds; see conv2d."""
         rng = np.random.default_rng(k * 10 + pad)
-        c_in, c_out, h, w = 48, 16, 95 + stride, 93 + stride
-        ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        c_in, c_out, h, w = 48, 16, 96, 94
+        ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
         row_bytes = c_in * k * k * wo * np.dtype(dtype).itemsize
         monkeypatch.setattr(ad, "COLUMN_BYTES", 20 * row_bytes + row_bytes // 2)
         calls = []
         im2col = ad._im2col
-        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[4]) or im2col(*a))
+        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[3]) or im2col(*a))
         x = Tensor(rng.standard_normal((c_in, h, w)).astype(dtype), requires_grad=x_grad)
         wgt = Tensor(rng.standard_normal((c_out, c_in, k, k)).astype(dtype))
-        out = ad.conv2d(x, ConvParams(weight=wgt, stride=stride, padding=pad))
+        out = ad.conv2d(x, ConvParams(weight=wgt, padding=pad))
         n = -(-ho // 20)
         assert [len(r) for r in calls] == [ho * (i + 1) // n - ho * i // n for i in range(n)]
         assert sum(len(r) for r in calls) == ho and len(calls) >= 3
         w2 = wgt.data.reshape(c_out, -1)
-        assert out.data.tobytes() == (w2 @ padded_columns(x.data, k, stride, pad)).tobytes()
+        assert out.data.tobytes() == (w2 @ padded_columns(x.data, k, pad)).tobytes()
         assert out.requires_grad == x_grad
         if x_grad:
             g = rng.standard_normal(out.shape).astype(dtype)
             ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
-            dx = ad._col2im(w2.T @ g.reshape(c_out, -1), x.data, k, stride, pad, ho, wo)
+            dx = ad._col2im(w2.T @ g.reshape(c_out, -1), x.data, k, pad, ho, wo)
             assert x.grad.tobytes() == dx.tobytes()
             assert wgt.grad is None
 
@@ -215,29 +195,29 @@ class TestBandedColumns:
         full GEMM."""
         calls = []
         im2col = ad._im2col
-        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[4]) or im2col(*a))
-        for k, pad, stride in self.CASES:
+        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[3]) or im2col(*a))
+        for k, pad in self.CASES:
             rng = np.random.default_rng(k * 10 + pad + 3)
-            c_in, c_out, h, w = 48, 16, 95 + stride, 93 + stride
-            ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+            c_in, c_out, h, w = 48, 16, 96, 94
+            ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
             row_bytes = c_in * k * k * wo * 4
             monkeypatch.setattr(ad, "COLUMN_BYTES", 20 * row_bytes + row_bytes // 2)
             calls.clear()
             x = Tensor(rng.standard_normal((c_in, h, w)).astype(np.float32), requires_grad=True)
             wgt = Tensor(rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
                          requires_grad=True)
-            out = ad.conv2d(x, ConvParams(weight=wgt, stride=stride, padding=pad))
+            out = ad.conv2d(x, ConvParams(weight=wgt, padding=pad))
             n = -(-ho // 20)
             assert [len(r) for r in calls] == [ho * (i + 1) // n - ho * i // n for i in range(n)]
             assert len(calls) >= 3
             g = rng.standard_normal(out.shape).astype(np.float32)
             ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
             assert calls[n:] == [range(ho)]
-            col = padded_columns(x.data, k, stride, pad)
+            col = padded_columns(x.data, k, pad)
             w2, g2 = wgt.data.reshape(c_out, -1), g.reshape(c_out, -1)
             assert out.data.tobytes() == (w2 @ col).tobytes()
             assert wgt.grad.tobytes() == (g2 @ col.T).reshape(wgt.shape).tobytes()
-            dx = ad._col2im(w2.T @ g2, x.data, k, stride, pad, ho, wo)
+            dx = ad._col2im(w2.T @ g2, x.data, k, pad, ho, wo)
             assert x.grad.tobytes() == dx.tobytes()
 
     @pytest.mark.parametrize("keep_bytes", [1 << 20, 0])
@@ -248,14 +228,14 @@ class TestBandedColumns:
         monkeypatch.setattr(ad, "KEEP_COLUMN_BYTES", keep_bytes)
         calls = []
         im2col = ad._im2col
-        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[4]) or im2col(*a))
+        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[3]) or im2col(*a))
         x = Tensor(rng.standard_normal((4, 9, 11)).astype(np.float32), requires_grad=True)
         wgt = Tensor(rng.standard_normal((6, 4, 3, 3)).astype(np.float32), requires_grad=True)
         g = rng.standard_normal((6, 9, 11)).astype(np.float32)
         out = ad.conv2d(x, ConvParams(weight=wgt, padding=1))
         ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
         assert calls == [range(9)] * (1 if keep_bytes else 2)
-        col = padded_columns(x.data, 3, 1, 1)
+        col = padded_columns(x.data, 3, 1)
         assert out.data.tobytes() == (wgt.data.reshape(6, -1) @ col).tobytes()
         assert wgt.grad.tobytes() == (g.reshape(6, -1) @ col.T).reshape(wgt.shape).tobytes()
 
@@ -516,12 +496,11 @@ class TestBackward:
         assert out._backward is None and out._parents == ()
 
 
-def _conv_case(k, pad, bias, stride=1, c_in=3, c_out=4, size=6):
-    def conv(x, w, b=None):
-        return ad.conv2d(x, ConvParams(weight=w, bias=b, stride=stride, padding=pad))
+def _conv_case(k, pad, c_in=3, c_out=4, size=6):
+    def conv(x, w):
+        return ad.conv2d(x, ConvParams(weight=w, padding=pad))
 
-    specs = [((c_in, size, size), 1.0), ((c_out, c_in, k, k), 1.0)] + [((c_out,), 1.0)] * bias
-    return gradcheck.case(conv, *specs)
+    return gradcheck.case(conv, ((c_in, size, size), 1.0), ((c_out, c_in, k, k), 1.0))
 
 
 class TestFiniteDifferences:
@@ -539,20 +518,19 @@ class TestFiniteDifferences:
         np.testing.assert_allclose(forward().item(), want)
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("k,pad,bias", [(1, 0, False), (3, 1, True), (3, 0, False)])
-    def test_conv2d(self, seed, k, pad, bias):
-        err = gradcheck.check_gradients(_conv_case(k, pad, bias), seed)
+    @pytest.mark.parametrize("k,pad", [(1, 0), (3, 1), (3, 0)])
+    def test_conv2d(self, seed, k, pad):
+        err = gradcheck.check_gradients(_conv_case(k, pad), seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("k,pad,stride,c_in,c_out,size", [
-        (3, 1, 1, 5, 2, 6),  # "same" 3x3, narrowing
-        (1, 0, 1, 5, 2, 6),  # 1x1, narrowing
-        (3, 1, 2, 3, 4, 7),  # strided
-        (1, 1, 2, 4, 3, 7),  # strided 1x1 over a padded border
+    @pytest.mark.parametrize("k,pad,c_in,c_out,size", [
+        (3, 1, 5, 2, 6),  # "same" 3x3, narrowing
+        (1, 0, 5, 2, 6),  # 1x1, narrowing
+        (1, 1, 4, 3, 7),  # 1x1 over a padded border
     ])
-    def test_conv2d_channels_and_stride(self, seed, k, pad, stride, c_in, c_out, size):
-        build = _conv_case(k, pad, True, stride=stride, c_in=c_in, c_out=c_out, size=size)
+    def test_conv2d_channels(self, seed, k, pad, c_in, c_out, size):
+        build = _conv_case(k, pad, c_in=c_in, c_out=c_out, size=size)
         assert gradcheck.check_gradients(build, seed) < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))

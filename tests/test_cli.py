@@ -67,6 +67,14 @@ class TestTrainCommand:
         assert err.startswith("error:")
         assert "level 2" in err
 
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_level_outside_config_exits_2_before_writing(self, tmp_path, capsys, level):
+        (tmp_path / "run.cfg").write_text(TINY.format(dir=tmp_path / "model"))
+        rc = main(["train", "--config", str(tmp_path / "run.cfg"), "--level", str(level)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: config: level {level} outside 1..2\n"
+        assert not (tmp_path / "model").exists()
+
     def test_zero_steps_writes_init_checkpoint(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(TINY.format(dir=tmp_path / "m").replace("steps = 2", "steps = 0"))

@@ -1,5 +1,7 @@
 """Loss oracles, weighting conformance, optimizer, and smoke training."""
 
+import errno
+import os
 import sys
 import threading
 import warnings
@@ -10,7 +12,7 @@ import pytest
 from restyle import autodiff as ad
 from restyle import gradcheck
 from restyle.autodiff import Tensor
-from restyle.config import RunConfig
+from restyle.config import RunConfig, format_config, read_text
 from restyle.corpus import CorpusSpec, make_corpus
 from restyle.encoder import encode, gram_stack, make_encoder
 from restyle.errors import ConfigError, ContractError, TrainingDiverged
@@ -230,6 +232,26 @@ def tiny_config(**overrides):
                 steps=4, batch=2, lambda_ps=(1.0, 5.0), content_count=4, style_count=2)
     base.update(overrides)
     return RunConfig(**base).validate()
+
+
+def test_failed_snapshot_write_leaves_no_config(tmp_path, monkeypatch):
+    """A config snapshot that fails to write leaves no part of itself behind, so
+    the next `init_model_dir` writes it whole instead of rejecting a torn one."""
+    cfg = tiny_config(model_dir=str(tmp_path / "m"))
+    enc = trainer.make_model_encoder(cfg)
+
+    def no_space(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fsync", no_space)
+        with pytest.raises(OSError) as info:
+            trainer.init_model_dir(cfg.model_dir, cfg, enc)
+    snap_path = os.path.join(cfg.model_dir, trainer.CONFIG_SNAPSHOT)
+    assert info.value.filename == snap_path
+    assert os.listdir(cfg.model_dir) == []
+    trainer.init_model_dir(cfg.model_dir, cfg, enc)
+    assert read_text(snap_path) == format_config(cfg)
 
 
 class TestTrainLevel:

@@ -5,12 +5,12 @@ import pytest
 
 from restyle import autodiff as ad
 from restyle import gradcheck
-from restyle.autodiff import ConvParams, Tensor
+from restyle.autodiff import ConvParams, Tensor, load_state
 from restyle.encoder import ErrorBundle, encode, make_encoder
 from restyle.errors import ContractError
 from restyle.transition import (LevelParams, NonLocalParams, PropagationBlockParams,
-                                etnet_forward, load_state, make_level_params,
-                                nonlocal_block, propagation_block, run_decoder)
+                                etnet_forward, make_level_params, nonlocal_block,
+                                propagation_block, run_decoder)
 
 from test_encoder import rand_img
 
