@@ -144,8 +144,9 @@ class TestBandedColumns:
     """A frozen weight builds its columns in bands of output rows under COLUMN_BYTES."""
 
     CASES = [(3, 1), (3, 0), (3, 2), (1, 0), (1, 1)]  # k, pad
+    IDS = [f"{k}-{pad}-1" for k, pad in CASES]  # k-pad-stride; conv2d's stride is always 1
 
-    @pytest.mark.parametrize("k,pad", CASES)
+    @pytest.mark.parametrize("k,pad", CASES, ids=IDS)
     def test_band_columns_equal_padded_columns(self, k, pad):
         """Every band of 1 to 5 rows is its slice of the np.pad columns."""
         rng = np.random.default_rng(k * 10 + pad)
@@ -158,7 +159,7 @@ class TestBandedColumns:
                 assert got.tobytes() == np.ascontiguousarray(full[:, r0 * wo:r1 * wo]).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k,pad", CASES)
+    @pytest.mark.parametrize("k,pad", CASES, ids=IDS)
     @pytest.mark.parametrize("x_grad", [False, True])
     def test_bands_bitwise_equal_full_gemm(self, monkeypatch, dtype, k, pad, x_grad):
         """A 48->16 conv of a 96 px map in bands of 19-20 rows: out and dx keep their bits.
@@ -518,7 +519,8 @@ class TestFiniteDifferences:
         np.testing.assert_allclose(forward().item(), want)
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("k,pad", [(1, 0), (3, 1), (3, 0)])
+    @pytest.mark.parametrize("k,pad", [(1, 0), (3, 1), (3, 0)],
+                             ids=["1-0-False", "3-1-False", "3-0-False"])  # k-pad-bias; no bias
     def test_conv2d(self, seed, k, pad):
         err = gradcheck.check_gradients(_conv_case(k, pad), seed)
         assert err < 1e-4
