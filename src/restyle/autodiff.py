@@ -580,6 +580,12 @@ def conv_weight(rng, c_out, c_in, k, gain):
     return Tensor((w * gain).reshape(c_out, c_in, k, k))
 
 
+def placeholder_weight(c_out, c_in, k, gain):
+    """Zero conv weight of a layout's shape, for `load_state` to replace; no
+    draw, so `gain` is unused."""
+    return Tensor(np.zeros((c_out, c_in, k, k), dtype=DEFAULT_DTYPE))
+
+
 # ---------------------------------------------------------------------------
 # named parameter tables: any object whose `named_tensors()` maps a stable
 # name to each of its Tensors

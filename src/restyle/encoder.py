@@ -9,6 +9,7 @@ error space and the loss space coincide.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,26 @@ def rescale_to_rms(param: Tensor, outputs, target=1.0):
     return [Tensor(o.data * factor) for o in outputs]
 
 
+def encoder_layout(channels, weight) -> Encoder:
+    """The encoder's one layout: NUM_STAGES stages of two 3x3 convs with
+    padding 1, stage i taking channels[i-2] maps (3 for the first) to
+    channels[i-1].
+
+    `weight(c_out, c_in, k, gain)` supplies each conv weight, stage by stage
+    and first conv first: seeded draws in `make_encoder`, placeholders for a
+    checkpoint to fill when a model directory is loaded.
+    """
+    if len(channels) != NUM_STAGES:
+        raise ContractError(f"encoder: need {NUM_STAGES} channel widths, got {channels}")
+    stages = []
+    c_prev = 3
+    for c in channels:
+        stages.append([ConvParams(weight=weight(c, c_prev, 3, RELU_GAIN), padding=1),
+                       ConvParams(weight=weight(c, c, 3, RELU_GAIN), padding=1)])
+        c_prev = c
+    return Encoder(stages=stages, channels=tuple(channels))
+
+
 def make_encoder(seed, channels=DEFAULT_CHANNELS):
     """Seeded fixed encoder.
 
@@ -115,30 +136,20 @@ def make_encoder(seed, channels=DEFAULT_CHANNELS):
     rescaled so its features have unit RMS on a deterministic probe set,
     keeping error and loss magnitudes comparable across stages and widths.
     """
-    if len(channels) != NUM_STAGES:
-        raise ContractError(f"make_encoder: need {NUM_STAGES} channel widths, got {channels}")
     rng = np.random.default_rng(seed)
+    enc = encoder_layout(channels, functools.partial(ad.conv_weight, rng))
     # the passthrough chain must be unbroken, so it is all stages or none
-    use_passthrough = min(channels) > 2 * PASSTHROUGH
-    stages = []
-    c_prev = 3
-    for c in channels:
-        stage = [
-            ConvParams(weight=ad.conv_weight(rng, c, c_prev, 3, gain=RELU_GAIN), padding=1),
-            ConvParams(weight=ad.conv_weight(rng, c, c, 3, gain=RELU_GAIN), padding=1),
-        ]
-        if use_passthrough:
+    if min(channels) > 2 * PASSTHROUGH:
+        for stage in enc.stages:
             for conv in stage:
                 _reserve_passthrough(conv.weight, PASSTHROUGH)
-        stages.append(stage)
-        c_prev = c
     # variance calibration: relu is positively homogeneous, so scaling the
     # second conv of a stage scales the whole stage output linearly
     probes = [Tensor(to_chw(img)) for img in _calibration_images(rng)]
-    for i, stage in enumerate(stages):
+    for i, stage in enumerate(enc.stages):
         probes = rescale_to_rms(stage[1].weight,
                                 [_stage_forward(x, stage, pool=i > 0) for x in probes])
-    return Encoder(stages=stages, channels=tuple(channels))
+    return enc
 
 
 @dataclass

@@ -50,11 +50,11 @@ from .autodiff import Tensor
 from .config import RunConfig, format_config, load_config, read_text
 from .corpus import CorpusSpec, make_corpus
 from .encoder import Encoder, ErrorBundle, FeatureStack, _as_image_tensor, encode, \
-    errors_between, gram_stack, make_encoder, pair_errors, rescale_to_rms
-from .errors import ConfigError, ContractError, TrainingDiverged
+    encoder_layout, errors_between, gram_stack, make_encoder, pair_errors, rescale_to_rms
+from .errors import CheckpointError, ConfigError, ContractError, TrainingDiverged
 from .images import pyramid, upsample
 from .stylizer import PyramidModel, refine_level, start_estimate, stylize
-from .transition import LevelParams, make_level_params, run_decoder
+from .transition import LevelParams, level_layout, make_level_params, run_decoder
 
 
 # ---------------------------------------------------------------------------
@@ -663,27 +663,46 @@ def make_model_encoder(cfg: RunConfig) -> Encoder:
     return make_encoder([cfg.seed, 17], channels=cfg.channels)
 
 
+def _read_params(params, path):
+    """Fill `params` from the checkpoint at `path`.
+
+    `load_state` checks that the file holds exactly the names and shapes of
+    the layout `config.txt` declares; the values must also be finite. Any
+    fault raises `CheckpointError` naming `path`.
+    """
+    try:
+        ad.load_state(params, checkpoint.read(path))
+    except (CheckpointError, ContractError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    for name, t in params.named_tensors().items():
+        if not np.isfinite(t.data).all():
+            raise CheckpointError(f"{path}: {name} has non-finite values")
+    return params
+
+
 def load_frozen_levels(model_dir, cfg: RunConfig, above_level) -> dict[int, LevelParams]:
+    """The trained levels above `above_level`, frozen, taken from their checkpoints."""
     frozen = {}
     for j in range(above_level + 1, cfg.levels + 1):
         path = os.path.join(model_dir, level_file(j))
         if not os.path.exists(path):
             raise ConfigError(f"missing checkpoint for level {j}: {path}")
-        params = make_level_params(0, channels=cfg.channels, trainable=False)
-        frozen[j] = ad.load_state(params, checkpoint.read(path))
+        frozen[j] = _read_params(level_layout(cfg.channels, ad.placeholder_weight), path)
     return frozen
 
 
 def load_model_dir(model_dir):
-    """Rebuild a PyramidModel (and its config) from a model directory."""
+    """Rebuild a PyramidModel (and its config) from a model directory.
+
+    Every weight comes from the checkpoints: nothing is drawn or calibrated.
+    """
     snap_path = os.path.join(model_dir, CONFIG_SNAPSHOT)
     if not os.path.exists(snap_path):
         raise ConfigError(f"missing config snapshot: {snap_path}")
     cfg = load_config(snap_path)
-    enc = make_model_encoder(cfg)
     enc_path = os.path.join(model_dir, ENCODER_FILE)
     if not os.path.exists(enc_path):
         raise ConfigError(f"missing encoder checkpoint: {enc_path}")
-    ad.load_state(enc, checkpoint.read(enc_path))
+    enc = _read_params(encoder_layout(cfg.channels, ad.placeholder_weight), enc_path)
     frozen = load_frozen_levels(model_dir, cfg, 0)
     return PyramidModel(encoder=enc, levels=[frozen[k] for k in range(1, cfg.levels + 1)]), cfg

@@ -13,13 +13,14 @@ zero-pair regularizer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ConvParams, Tensor
-from .encoder import Encoder, ErrorBundle, FeatureStack, fuse, pair_errors
+from .encoder import RELU_GAIN, Encoder, ErrorBundle, FeatureStack, fuse, pair_errors
 from .errors import ContractError
 
 
@@ -91,34 +92,43 @@ class LevelParams:
 HEAD_GAIN = 0.1
 
 
-def make_level_params(seed, channels, trainable=True):
-    """Seeded initialization of one level's transition network."""
-    rng = np.random.default_rng(seed)
-    relu_gain = float(np.sqrt(2.0))
+def level_layout(channels, weight) -> LevelParams:
+    """One level's layout for the encoder widths `channels`: bias-free 1x1
+    convs with padding 0, 3x3 convs with padding 1, and fusion matrices that
+    start at the identity.
+
+    `weight(c_out, c_in, k, gain)` supplies each conv weight in a fixed order
+    (the non-local h, u, g maps; per block, coarsest first, phi_t, phi_u,
+    phi_v, phi_w; the head): seeded draws in `make_level_params`,
+    placeholders for a checkpoint to fill when a model directory is loaded.
+    """
     c4 = channels[-1]
 
-    def conv1x1(c_in, c_out, gain=1.0):
-        return ConvParams(weight=ad.conv_weight(rng, c_out, c_in, 1, gain=gain))
+    def conv(c_out, c_in, k, gain=1.0):
+        return ConvParams(weight=weight(c_out, c_in, k, gain), padding=k // 2)
 
-    def conv3x3(c_in, c_out, gain):
-        return ConvParams(weight=ad.conv_weight(rng, c_out, c_in, 3, gain=gain), padding=1)
-
-    nonlocal_ = NonLocalParams(psi_h=conv1x1(c4, c4), psi_u=conv1x1(c4, c4),
-                               psi_g=conv1x1(c4, c4))
+    nonlocal_ = NonLocalParams(psi_h=conv(c4, c4, 1), psi_u=conv(c4, c4, 1),
+                               psi_g=conv(c4, c4, 1))
     fuse_w = Tensor(np.eye(c4, dtype=np.float32))
     blocks = []
     for i in range(len(channels) - 1, 0, -1):
         c_i, c_prev = channels[i], channels[i - 1]
         blocks.append(PropagationBlockParams(
-            phi_t=conv1x1(c_i, c_prev),
+            phi_t=conv(c_prev, c_i, 1),
             psi=Tensor(np.eye(c_prev, dtype=np.float32)),
-            phi_u=conv3x3(c_prev, c_prev, gain=relu_gain),
-            phi_v=conv1x1(c_i, c_prev),
-            phi_w=conv3x3(3 * c_prev, c_prev, gain=relu_gain),
+            phi_u=conv(c_prev, c_prev, 3, RELU_GAIN),
+            phi_v=conv(c_prev, c_i, 1),
+            phi_w=conv(c_prev, 3 * c_prev, 3, RELU_GAIN),
         ))
-    head = conv3x3(channels[0], 3, gain=HEAD_GAIN)
-    params = LevelParams(fuse_w=fuse_w, nonlocal_=nonlocal_, blocks=blocks,
-                         head=head, channels=tuple(channels))
+    head = conv(3, channels[0], 3, HEAD_GAIN)
+    return LevelParams(fuse_w=fuse_w, nonlocal_=nonlocal_, blocks=blocks,
+                       head=head, channels=tuple(channels))
+
+
+def make_level_params(seed, channels, trainable=True):
+    """Seeded initialization of one level's transition network."""
+    rng = np.random.default_rng(seed)
+    params = level_layout(channels, functools.partial(ad.conv_weight, rng))
     return params.set_trainable(trainable)
 
 

@@ -25,6 +25,8 @@ from restyle.transition import NonLocalParams, nonlocal_block
 from test_autodiff import conv2d_loops
 from test_transition import nonlocal_loops
 
+pytestmark = pytest.mark.acceptance
+
 # acceptance training configuration: paper-schedule ratios for the style
 # weights, scaled to this artifact's loss normalization (see README)
 ACCEPT = dict(seed=7, image_size=96, channels=(16, 32, 64, 128), levels=3,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from restyle import checkpoint, gradcheck
+from restyle import autodiff, checkpoint, encoder, gradcheck, trainer
 from restyle.cli import main
 from restyle.corpus import CorpusSpec, make_test_pairs
 from restyle.images import load_ppm, save_ppm
@@ -198,6 +198,57 @@ class TestStylizeCommand:
                    "--model", model, "--out", str(tmp / "o.ppm")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestModelLoad:
+    def test_load_draws_no_weight(self, tmp_path, trained, monkeypatch):
+        """Loading a model directory, alone or under `stylize`, draws and
+        calibrates nothing: every weight comes from the checkpoints."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a weight was drawn while loading")
+
+        monkeypatch.setattr(autodiff, "orthogonal_matrix", no_draw)
+        monkeypatch.setattr(encoder, "make_encoder", no_draw)
+        monkeypatch.setattr(trainer, "make_encoder", no_draw)
+        model, cfg = trainer.load_model_dir(str(trained / "model"))
+        assert model.depth == cfg.levels == 2
+        rc = main(["stylize", "--content", str(trained / "content"),
+                   "--style", str(trained / "style"), "--model", str(trained / "model"),
+                   "--out", str(tmp_path / "o.ppm")])
+        assert rc == 0
+        assert read_image(tmp_path / "o.ppm").shape == (32, 32, 3)
+
+    @pytest.mark.parametrize("fault", ["level_shape", "config_channels", "level_nan"])
+    def test_checkpoint_that_does_not_fit_exits_2(self, tmp_path, trained, capsys, fault):
+        """A checkpoint whose names, shapes or values do not fit `config.txt` is a
+        config error that names the file."""
+        model = tmp_path / "model"
+        shutil.copytree(trained / "model", model)
+        culprit = model / ("encoder.ckpt" if fault == "config_channels" else
+                           "level2.ckpt" if fault == "level_shape" else "level1.ckpt")
+        if fault == "config_channels":
+            snap = model / "config.txt"
+            snap.write_text(snap.read_text().replace("channels = 4,6,8,10",
+                                                     "channels = 5,6,8,10"))
+        else:
+            state = checkpoint.read(culprit)
+            head = state["head.weight"].copy()
+            if fault == "level_shape":
+                head = head[:, :, :1, :1]
+            else:
+                head[0, 0, 1, 1] = np.nan
+            state["head.weight"] = head
+            checkpoint.write(culprit, state)
+        rc = main(["stylize", "--content", str(trained / "content"),
+                   "--style", str(trained / "style"), "--model", str(model),
+                   "--out", str(tmp_path / "o.ppm")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {culprit}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        if fault != "config_channels":
+            assert "head.weight" in err
+        assert not (tmp_path / "o.ppm").exists()
 
 
 class TestRefineAndEval:

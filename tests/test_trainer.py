@@ -10,19 +10,19 @@ import numpy as np
 import pytest
 
 from restyle import autodiff as ad
-from restyle import gradcheck
+from restyle import checkpoint, gradcheck
 from restyle.autodiff import Tensor
 from restyle.config import RunConfig, format_config, read_text
 from restyle.corpus import CorpusSpec, make_corpus
 from restyle.encoder import encode, gram_stack, make_encoder
-from restyle.errors import ConfigError, ContractError, TrainingDiverged
+from restyle.errors import CheckpointError, ConfigError, ContractError, TrainingDiverged
 from restyle.images import downsample
 from restyle.stylizer import start_estimate
 from restyle import trainer
 from restyle.trainer import (Adam, LossWeights, TargetCache, TrainResult, combine_losses,
                              content_loss, cosine_lr, evaluate, init_level_params,
                              recovering_clamp01, style_loss, total_loss, train_level, tv_loss)
-from restyle.transition import etnet_forward
+from restyle.transition import etnet_forward, make_level_params
 
 from test_encoder import rand_img
 
@@ -252,6 +252,56 @@ def test_failed_snapshot_write_leaves_no_config(tmp_path, monkeypatch):
     assert os.listdir(cfg.model_dir) == []
     trainer.init_model_dir(cfg.model_dir, cfg, enc)
     assert read_text(snap_path) == format_config(cfg)
+
+
+class TestLoadModelDir:
+    @pytest.fixture
+    def model_dir(self, tmp_path):
+        """A model directory of `tiny_config` with seeded, untrained levels."""
+        cfg = tiny_config(model_dir=str(tmp_path / "m"))
+        trainer.init_model_dir(cfg.model_dir, cfg, trainer.make_model_encoder(cfg))
+        for level in range(1, cfg.levels + 1):
+            trainer.save_level_checkpoint(
+                os.path.join(cfg.model_dir, trainer.level_file(level)),
+                make_level_params([cfg.seed, level], channels=cfg.channels))
+        return cfg.model_dir
+
+    def test_tensors_are_the_checkpoint_arrays(self, model_dir):
+        model, cfg = trainer.load_model_dir(model_dir)
+        files = [trainer.ENCODER_FILE] + [trainer.level_file(k) for k in range(1, cfg.levels + 1)]
+        for params, name in zip([model.encoder, *model.levels], files):
+            state = checkpoint.read(os.path.join(model_dir, name))
+            named = params.named_tensors()
+            assert list(named) == list(state)
+            for key, t in named.items():
+                assert t.dtype == np.float32 and t.data.tobytes() == state[key].tobytes()
+                assert t.data.flags.writeable and t.data.flags.c_contiguous
+                assert not t.requires_grad
+
+    @pytest.mark.parametrize("fault", ["shape", "missing", "extra", "nan", "inf", "malformed"])
+    def test_bad_level_checkpoint_names_file(self, model_dir, fault):
+        path = os.path.join(model_dir, trainer.level_file(2))
+        state = checkpoint.read(path)
+        head = state["head.weight"].copy()
+        if fault == "shape":
+            state["head.weight"] = head[:, :, :1, :1]
+        elif fault == "missing":
+            del state["head.weight"]
+        elif fault == "extra":
+            state["head.bias"] = head[:, 0, 0, 0]
+        elif fault in ("nan", "inf"):
+            head[0, 0, 1, 1] = float(fault)
+            state["head.weight"] = head
+        checkpoint.write(path, state)
+        if fault == "malformed":
+            with open(path, "r+b") as fh:
+                fh.write(b"XXXX")
+        with pytest.raises(CheckpointError) as info:
+            trainer.load_model_dir(model_dir)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        if fault in ("shape", "nan", "inf"):
+            assert "head.weight" in message
 
 
 class TestTrainLevel:
