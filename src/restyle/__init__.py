@@ -11,7 +11,7 @@ from .images import build_level_inputs, downsample, load_ppm, save_ppm, upsample
 from .stylizer import PyramidModel, StylizeResult, refine_external, refine_level, stylize, \
     stylize_alpha
 from .trainer import Adam, EvalResult, LossWeights, content_loss, evaluate, style_loss, \
-    total_loss, train_level, tv_loss
+    train_level, tv_loss
 from .transition import LevelParams, etnet_forward, make_level_params, nonlocal_block, \
     propagation_block
 

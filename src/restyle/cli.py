@@ -93,8 +93,8 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    names = {args.op} if args.op else None
-    if names:
+    names = None if args.op is None else {args.op}
+    if names is not None:
         known = {c.name for c in gradcheck_mod.standard_suite()}
         if args.op not in known:
             raise ConfigError(f"unknown op {args.op!r}; choose from {sorted(known)}")

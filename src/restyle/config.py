@@ -51,6 +51,8 @@ class RunConfig:
             raise ConfigError("steps must be >= 0 and batch >= 1")
         if self.content_count < 1 or self.style_count < 1:
             raise ConfigError("corpus counts must be positive")
+        if not self.model_dir:
+            raise ConfigError("model_dir must not be empty")
         return self
 
 

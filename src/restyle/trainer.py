@@ -7,6 +7,10 @@ transfers across resolutions. A zero-pair regularizer drives the decoder to
 emit a zero residual when content, style, and estimate coincide, which the
 feature branch of the architecture does not guarantee by itself.
 
+A level starts from seeded draws that `transition.calibrate` rescales on
+`probe_cases`. Training and evaluation take their content and style terms
+from `level_terms`.
+
 Training takes its losses on `recovering_clamp01(estimate + residual)`, not
 on `ad.clamp01`: the value is the same clamp, but a pixel outside [0, 1]
 still receives the gradient whenever a descent step would move it back
@@ -50,11 +54,11 @@ from .autodiff import Tensor
 from .config import RunConfig, format_config, load_config, read_text
 from .corpus import CorpusSpec, make_corpus
 from .encoder import Encoder, ErrorBundle, FeatureStack, _as_image_tensor, encode, \
-    encoder_layout, errors_between, gram_stack, make_encoder, pair_errors, rescale_to_rms
+    encoder_layout, errors_between, gram_stack, make_encoder, pair_errors
 from .errors import CheckpointError, ConfigError, ContractError, TrainingDiverged
 from .images import pyramid, upsample
 from .stylizer import PyramidModel, refine_level, start_estimate, stylize
-from .transition import LevelParams, level_layout, make_level_params, run_decoder
+from .transition import LevelParams, calibrate, level_layout, make_level_params, run_decoder
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +223,19 @@ def image_targets(content, style, count, enc) -> LevelTargets:
     return level_targets(c_feats, s_feats)
 
 
+def level_terms(stylized, targets: LevelTargets, enc):
+    """(l_pc, l_ps) of a stylized (3, H, W) image: the content and style terms
+    of this level and of every coarser one that `targets` covers."""
+    stacks = _stack_chain(stylized, len(targets.content_deep), enc)
+    return (_sum(_content_terms(stacks, targets.content_deep)),
+            _sum(_style_terms(stacks, targets.style_grams, targets.style_deep_grams)))
+
+
 def level_objective(stylized, targets: LevelTargets, level, enc, weights: LossWeights,
                     zero_residual=None):
-    """Weighted objective of a stylized (3, H, W) tensor: (total, l_pc, l_ps, l_tv).
-
-    The content and style terms cover this level and every coarser one;
-    `zero_residual` adds the zero-pair term.
-    """
-    stacks = _stack_chain(stylized, len(targets.content_deep), enc)
-    l_pc = _sum(_content_terms(stacks, targets.content_deep))
-    l_ps = _sum(_style_terms(stacks, targets.style_grams, targets.style_deep_grams))
+    """Weighted objective of a stylized (3, H, W) tensor: (total, l_pc, l_ps, l_tv);
+    `zero_residual` adds the zero-pair term."""
+    l_pc, l_ps = level_terms(stylized, targets, enc)
     l_tv = tv_loss(stylized)
     zero_sq = None
     if zero_residual is not None:
@@ -257,16 +264,6 @@ def sample_objective(icing_t, targets: LevelTargets, params: LevelParams, enc, l
     stylized = recovering_clamp01(ad.add(icing_t, residual))
     zero_res, _ = run_decoder(_zero_bundle(targets.content_stack), targets.content_stack, params)
     return level_objective(stylized, targets, level, enc, weights, zero_residual=zero_res)
-
-
-def total_loss(stylized, content, style, level, depth, enc, weights: LossWeights):
-    """Weighted objective of a stylized image at one level, with targets pooled
-    from the content and style images (training uses `sample_objective`)."""
-    cs, c, s = (_as_image_tensor(x) for x in (stylized, content, style))
-    if not cs.shape == c.shape == s.shape:
-        raise ContractError(f"total_loss: image shapes differ: {cs.shape}, {c.shape}, {s.shape}")
-    targets = image_targets(c, s, depth - level + 1, enc)
-    return level_objective(cs, targets, level, enc, weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +355,6 @@ class TrainResult:
 # (style, style): these teach faithful reconstruction, which underwrites the
 # fixed-point behavior and adds target diversity in both roles
 IDENTITY_PAIR_PERIOD = 3
-RESIDUAL_INIT_RMS = 0.1
 
 # A level's samples run two at a time from this image side up. On a 2-vCPU
 # box, per step against the samples in order (acceptance config, batch 2):
@@ -368,54 +364,22 @@ RESIDUAL_INIT_RMS = 0.1
 CONCURRENT_MIN_SIDE = 48
 
 
-def _calibrate_level(params: LevelParams, cfg: RunConfig, level: int, enc: Encoder,
-                     contents, styles):
-    """Unit-RMS calibration of every fusion/conv site on probe pairs.
-
-    The bilinear fusions contract magnitudes by roughly the Gram scale; the
-    learnable matrices absorb a compensating constant at construction so the
-    cascade starts well-conditioned. Deterministic given corpus and seed.
-    """
-    from .encoder import fuse
-    from .transition import nonlocal_block
-
+def probe_cases(cfg: RunConfig, level: int, enc: Encoder, contents, styles):
+    """Four (error bundle, features) calibration probes at `level`: content i and
+    style i + 1, from the start estimate, or at a finer level their mean image."""
     cases = []
     for i in range(4):
         c = pyramid(contents[i % len(contents)], level)[-1]
         s = pyramid(styles[(i + 1) % len(styles)], level)[-1]
-        if level == cfg.levels:
-            icing = start_estimate(c)
-        else:
-            icing = ((c + s) / 2).astype(np.float32)
+        icing = start_estimate(c) if level == cfg.levels else ((c + s) / 2).astype(np.float32)
         cases.append(pair_errors(c, s, icing, enc))
-
-    errs = rescale_to_rms(params.fuse_w,
-                          [fuse(b.content, params.fuse_w, b.style[-1]) for b, _ in cases])
-    ds = rescale_to_rms(params.nonlocal_.psi_h.weight,
-                        [nonlocal_block(e, fi.stages[-1], params.nonlocal_)
-                         for e, (_, fi) in zip(errs, cases)])
-    n = len(params.channels)
-    for idx, block in enumerate(params.blocks):
-        finer = n - 2 - idx
-        fused = rescale_to_rms(block.psi,
-                               [fuse(ad.conv2d(ad.upsample_nearest2x(e), block.phi_t),
-                                     block.psi, b.style[finer])
-                                for e, (b, _) in zip(errs, cases)])
-        errs = rescale_to_rms(block.phi_u.weight,
-                              [ad.relu(ad.conv2d(x, block.phi_u)) for x in fused])
-        merged = [ad.concat_channels([ad.conv2d(ad.upsample_nearest2x(d), block.phi_v),
-                                      fi.stages[finer], x])
-                  for d, (_, fi), x in zip(ds, cases, fused)]
-        ds = rescale_to_rms(block.phi_w.weight,
-                            [ad.relu(ad.conv2d(m, block.phi_w)) for m in merged])
-    rescale_to_rms(params.head.weight, [ad.conv2d(d, params.head) for d in ds],
-                   target=RESIDUAL_INIT_RMS)
+    return cases
 
 
 def init_level_params(cfg: RunConfig, level: int, enc: Encoder, contents, styles) -> LevelParams:
     """Seeded level initialization, magnitude-calibrated on probes of the corpus."""
     params = make_level_params([cfg.seed, 50 + level], channels=cfg.channels, trainable=False)
-    _calibrate_level(params, cfg, level, enc, contents, styles)
+    calibrate(params, probe_cases(cfg, level, enc, contents, styles))
     return params.set_trainable(True)
 
 
@@ -595,8 +559,7 @@ class EvalResult:
 
 def full_resolution_losses(img, content, style, enc):
     """Plain (no pyramid terms) content and style loss at full resolution."""
-    l_c = content_loss(img, content, level=1, depth=1, enc=enc)
-    l_s = style_loss(img, style, level=1, depth=1, enc=enc)
+    l_c, l_s = level_terms(img, image_targets(content, style, 1, enc), enc)
     return l_c.item(), l_s.item()
 
 
@@ -610,14 +573,12 @@ def evaluate(model: PyramidModel, pairs) -> EvalResult:
     pc = np.zeros((len(pairs), depth))
     ps = np.zeros((len(pairs), depth))
     for row, (content, style) in enumerate(pairs):
-        result = stylize(content, style, model)
-        for j, img in enumerate(result.intermediates):
-            refinements = j + 1
-            for _ in range(depth - refinements):
+        targets = image_targets(content, style, 1, model.encoder)
+        for j, img in enumerate(stylize(content, style, model).intermediates):
+            for _ in range(depth - j - 1):
                 img = upsample(img)
-            l_c, l_s = full_resolution_losses(img, content, style, model.encoder)
-            pc[row, j] = l_c
-            ps[row, j] = l_s
+            l_c, l_s = level_terms(img, targets, model.encoder)
+            pc[row, j], ps[row, j] = l_c.item(), l_s.item()
     return EvalResult(content=pc.mean(axis=0), style=ps.mean(axis=0),
                       per_pair_content=pc, per_pair_style=ps)
 

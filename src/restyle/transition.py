@@ -9,6 +9,9 @@ Every convolution here is bias-free. The error-side path is therefore
 exactly zero when the error bundle is zero; the feature branch of each
 propagation block still contributes, which training suppresses with the
 zero-pair regularizer.
+
+A propagation block is two steps, `fused_error` and `block_outputs`; both
+`propagation_block` and the site-by-site `calibrate` run them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ConvParams, Tensor
-from .encoder import RELU_GAIN, Encoder, ErrorBundle, FeatureStack, fuse, pair_errors
+from .encoder import RELU_GAIN, Encoder, ErrorBundle, FeatureStack, fuse, pair_errors, \
+    rescale_to_rms
 from .errors import ContractError
 
 
@@ -90,6 +94,7 @@ class LevelParams:
 
 
 HEAD_GAIN = 0.1
+RESIDUAL_INIT_RMS = 0.1
 
 
 def level_layout(channels, weight) -> LevelParams:
@@ -152,20 +157,28 @@ def nonlocal_block(err4: Tensor, f_in4: Tensor, p: NonLocalParams) -> Tensor:
     return ad.unflatten_pixels(out, h, w)
 
 
+def fused_error(err_i, style_delta_finer, p: PropagationBlockParams):
+    """The psi site: the upsampled error through phi_t, fused with the style delta."""
+    return fuse(ad.conv2d(ad.upsample_nearest2x(err_i), p.phi_t), p.psi, style_delta_finer)
+
+
+def block_outputs(fused, d_i, f_in_finer, p: PropagationBlockParams):
+    """The phi_u and phi_w sites, independent of each other: (error, residual) at 2x."""
+    err_out = ad.relu(ad.conv2d(fused, p.phi_u))
+    merged = ad.concat_channels([ad.conv2d(ad.upsample_nearest2x(d_i), p.phi_v),
+                                 f_in_finer, fused])
+    return err_out, ad.relu(ad.conv2d(merged, p.phi_w))
+
+
 def propagation_block(err_i, d_i, f_in_finer, style_delta_finer, p: PropagationBlockParams):
     """One scale transition: returns (refined error, refined residual) at 2x size."""
     if err_i.shape != d_i.shape:
         raise ContractError(f"propagation_block: {err_i.shape} vs {d_i.shape}")
-    err_up = ad.upsample_nearest2x(err_i)
-    d_up = ad.upsample_nearest2x(d_i)
-    if err_up.shape[1:] != f_in_finer.shape[1:]:
+    c, h, w = err_i.shape
+    if (2 * h, 2 * w) != f_in_finer.shape[1:]:
         raise ContractError(
-            f"propagation_block: upsampled {err_up.shape} vs feature {f_in_finer.shape}")
-    fused = fuse(ad.conv2d(err_up, p.phi_t), p.psi, style_delta_finer)
-    err_out = ad.relu(ad.conv2d(fused, p.phi_u))
-    merged = ad.concat_channels([ad.conv2d(d_up, p.phi_v), f_in_finer, fused])
-    d_out = ad.relu(ad.conv2d(merged, p.phi_w))
-    return err_out, d_out
+            f"propagation_block: upsampled {(c, 2 * h, 2 * w)} vs feature {f_in_finer.shape}")
+    return block_outputs(fused_error(err_i, style_delta_finer, p), d_i, f_in_finer, p)
 
 
 def run_decoder(bundle: ErrorBundle, f_in: FeatureStack, params: LevelParams):
@@ -177,14 +190,34 @@ def run_decoder(bundle: ErrorBundle, f_in: FeatureStack, params: LevelParams):
     err = fuse(bundle.content, params.fuse_w, bundle.style[-1])
     d = nonlocal_block(err, f_in.stages[-1], params.nonlocal_)
     internals = {"err": [err], "d": [d]}
-    n = len(params.channels)
-    for idx, block in enumerate(params.blocks):
-        finer = n - 2 - idx  # 0-based stage index of the finer scale
+    # blocks run coarsest first; `finer` is the stage index of a block's output scale
+    for finer, block in zip(range(len(params.channels) - 2, -1, -1), params.blocks):
         err, d = propagation_block(err, d, f_in.stages[finer], bundle.style[finer], block)
         internals["err"].append(err)
         internals["d"].append(d)
     residual = ad.conv2d(d, params.head)
     return residual, internals
+
+
+def calibrate(params: LevelParams, cases):
+    """Rescale each decoder site in decoder order to unit-RMS outputs (the head to
+    RESIDUAL_INIT_RMS) on (error bundle, features) `cases`, each site on the
+    rescaled outputs before it (LSUV, Mishkin & Matas 2015): the bilinear
+    fusions contract magnitudes by about the Gram scale."""
+    errs = rescale_to_rms(params.fuse_w,
+                          [fuse(b.content, params.fuse_w, b.style[-1]) for b, _ in cases])
+    ds = rescale_to_rms(params.nonlocal_.psi_h.weight,
+                        [nonlocal_block(e, f_in.stages[-1], params.nonlocal_)
+                         for e, (_, f_in) in zip(errs, cases)])
+    for finer, block in zip(range(len(params.channels) - 2, -1, -1), params.blocks):
+        fused = rescale_to_rms(block.psi, [fused_error(e, b.style[finer], block)
+                                           for e, (b, _) in zip(errs, cases)])
+        outs = [block_outputs(x, d, f_in.stages[finer], block)
+                for x, d, (_, f_in) in zip(fused, ds, cases)]
+        errs = rescale_to_rms(block.phi_u.weight, [e for e, _ in outs])
+        ds = rescale_to_rms(block.phi_w.weight, [d for _, d in outs])
+    rescale_to_rms(params.head.weight, [ad.conv2d(d, params.head) for d in ds],
+                   target=RESIDUAL_INIT_RMS)
 
 
 def etnet_forward(content_img, style_img, current_img, params: LevelParams,

@@ -127,6 +127,14 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "image_size" in err
 
+    def test_empty_model_dir_exits_2_before_writing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(TINY.format(dir=""))
+        assert main(["train", "--config", "run.cfg", "--level", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "model_dir" in err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     def test_non_finite_gradient_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "huge.cfg"
         # one step: the losses are finite, so only the gradient check can stop it
@@ -309,6 +317,11 @@ class TestGradcheckCommand:
     def test_unknown_op_exits_2(self, capsys):
         assert main(["gradcheck", "--op", "nope"]) == 2
         assert capsys.readouterr().err.startswith("error: config:")
+
+    def test_empty_op_is_unknown(self, capsys):
+        assert main(["gradcheck", "--op", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config: unknown op ''") and captured.out == ""
 
     def test_failed_check_exits_3(self, monkeypatch):
         monkeypatch.setattr(gradcheck, "run_suite", lambda **_: [("gram", 1.0, False)])

@@ -62,6 +62,7 @@ class TestParse:
         ("lambda_ps = 1,-5,8", "lambda_ps"),
         ("lambda_ps = 1,5,inf", "lambda_ps"),
         ("zero_pair_weight = -0.1", "zero_pair_weight"),
+        ("model_dir = ", "model_dir"),
     ])
     def test_out_of_range_value_rejected(self, line, key):
         with pytest.raises(ConfigError, match=key):

@@ -16,13 +16,15 @@ from restyle.config import RunConfig, format_config, read_text
 from restyle.corpus import CorpusSpec, make_corpus
 from restyle.encoder import encode, gram_stack, make_encoder
 from restyle.errors import CheckpointError, ConfigError, ContractError, TrainingDiverged
-from restyle.images import downsample
-from restyle.stylizer import start_estimate
+from restyle.images import downsample, to_chw, upsample
+from restyle.stylizer import PyramidModel, start_estimate, stylize
 from restyle import trainer
 from restyle.trainer import (Adam, LossWeights, TargetCache, TrainResult, combine_losses,
-                             content_loss, cosine_lr, evaluate, init_level_params,
-                             recovering_clamp01, style_loss, total_loss, train_level, tv_loss)
-from restyle.transition import etnet_forward, make_level_params
+                             content_loss, cosine_lr, evaluate, full_resolution_losses,
+                             image_targets, init_level_params, level_objective, probe_cases,
+                             recovering_clamp01, style_loss, train_level, tv_loss)
+from restyle.transition import RESIDUAL_INIT_RMS, etnet_forward, make_level_params, \
+    run_decoder
 
 from test_encoder import rand_img
 
@@ -129,11 +131,10 @@ class TestTvLoss:
 
 class TestTotalLoss:
     def test_all_zero_components(self, enc):
-        img = rand_img(12, 16)
         weights = LossWeights(style_per_level=(1.0, 5.0, 8.0))
         constant = np.full((16, 16, 3), 0.25, dtype=np.float32)
-        loss = total_loss(constant, constant, constant, level=3, depth=3, enc=enc,
-                          weights=weights)
+        targets = image_targets(constant, constant, 1, enc)
+        loss = level_objective(Tensor(to_chw(constant)), targets, 3, enc, weights)[0]
         assert loss.item() == 0.0
 
     def test_linear_in_style_component(self):
@@ -182,7 +183,7 @@ class TestTotalLoss:
             s = Tensor(rng.random((3, 16, 16)), dtype=np.float64)
 
             def forward():
-                return total_loss(cs, c, s, level=2, depth=3, enc=enc64, weights=weights)
+                return level_objective(cs, image_targets(c, s, 2, enc64), 2, enc64, weights)[0]
 
             return [cs], forward
         assert gradcheck.check_gradients(build, seed, max_coords=40) < 1e-4
@@ -375,6 +376,52 @@ class TestTrainLevel:
             assert len(parts) == 5
             for p in parts[1:]:
                 float(p)
+
+
+@pytest.mark.parametrize("size, levels", [(96, 3), (32, 2)])
+def test_calibrated_decoder_maps_have_unit_rms(enc, size, levels):
+    """On its own probes, every calibrated level's decoder gives error and
+    residual-feature maps of pooled RMS 1 and a residual of RESIDUAL_INIT_RMS."""
+    cfg = tiny_config(image_size=size, levels=levels, lambda_ps=(1.0,) * levels)
+    contents, styles = make_corpus(CorpusSpec(seed=cfg.seed, size=cfg.image_size,
+                                              content_count=cfg.content_count,
+                                              style_count=cfg.style_count))
+
+    def pooled_rms(maps):
+        return np.sqrt(np.mean([np.mean(m.data.astype(np.float64) ** 2) for m in maps]))
+
+    for level in range(1, levels + 1):
+        params = init_level_params(cfg, level, enc, contents, styles)
+        runs = [run_decoder(bundle, f_in, params)
+                for bundle, f_in in probe_cases(cfg, level, enc, contents, styles)]
+        for key in ("err", "d"):
+            for site in range(len(CHANNELS)):  # the deep map, then one per block
+                got = pooled_rms([internals[key][site] for _, internals in runs])
+                assert got == pytest.approx(1.0, rel=1e-4), (level, key, site)
+        got = pooled_rms([residual for residual, _ in runs])
+        assert got == pytest.approx(RESIDUAL_INIT_RMS, rel=1e-4), level
+
+
+def test_evaluate_encodes_targets_once_per_pair(enc, monkeypatch):
+    """evaluate encodes a pair's content and style once, plus each intermediate
+    once, and its tables equal `full_resolution_losses` bit for bit."""
+    depth = 3
+    model = PyramidModel(encoder=enc, levels=[make_level_params([3, k], channels=CHANNELS)
+                                              for k in range(1, depth + 1)])
+    pairs = [(rand_img(20 + i, 32), rand_img(30 + i, 32)) for i in range(2)]
+    calls = []
+    encode_ = trainer.encode
+    monkeypatch.setattr(trainer, "encode", lambda *a: calls.append(1) or encode_(*a))
+    result = evaluate(model, pairs)
+    assert len(calls) == (depth + 2) * len(pairs)
+    monkeypatch.undo()
+    for row, (content, style) in enumerate(pairs):
+        for j, img in enumerate(stylize(content, style, model).intermediates):
+            for _ in range(depth - j - 1):
+                img = upsample(img)
+            l_c, l_s = full_resolution_losses(img, content, style, enc)
+            assert result.per_pair_content[row, j] == l_c
+            assert result.per_pair_style[row, j] == l_s
 
 
 def test_frozen_prefix_uses_cached_targets(enc, monkeypatch):
