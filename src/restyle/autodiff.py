@@ -328,28 +328,37 @@ def matmul(a, b):
     return record(a.data @ b.data, (a, b), bw)
 
 
-def transpose2d(a):
-    _check_2d(a, "transpose2d")
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate(a, np.ascontiguousarray(g.T))
-
-    return record(np.ascontiguousarray(a.data.T), (a,), bw)
-
-
 def softmax_rows(a):
-    """Row-wise softmax, stabilized by subtracting the row maximum."""
+    """Row-wise softmax, stabilized by subtracting the row maximum.
+
+    Works in place on one fresh array. Probabilities below the dtype's
+    smallest normal number are set to exactly 0: a matrix product over
+    subnormal operands can run a hundred times slower than over normal ones,
+    and such an entry weighs less than 1e-38 in any sum.
+    """
     _check_2d(a, "softmax_rows")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = a.data - a.data.max(axis=1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=1, keepdims=True)
+    y[y < np.finfo(y.dtype).tiny] = 0
 
     def bw(g):
         if a.requires_grad:
-            accumulate(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
+            dx = g * y
+            np.subtract(g, dx.sum(axis=1, keepdims=True), out=dx)
+            dx *= y
+            accumulate(a, dx)
 
     return record(y, (a,), bw)
+
+
+def reshape(a, shape):
+    """The same values in row-major order, viewed in another shape."""
+    def bw(g):
+        if a.requires_grad:
+            accumulate(a, g.reshape(a.shape))
+
+    return record(a.data.reshape(shape), (a,), bw)
 
 
 def flatten_pixels(a):

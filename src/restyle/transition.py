@@ -10,8 +10,12 @@ exactly zero when the error bundle is zero; the feature branch of each
 propagation block still contributes, which training suppresses with the
 zero-pair regularizer.
 
-A propagation block is two steps, `fused_error` and `block_outputs`; both
-`propagation_block` and the site-by-site `calibrate` run them.
+A propagation block is three steps: `fused_error`, then `block_error` and
+`block_residual`, which are independent of each other. `propagation_block`,
+`run_decoder` and the site-by-site `calibrate` all run them. Every per-pixel
+linear map runs before the nearest 2x upsample it commutes with, at the
+coarser resolution. The finest block's error map has no consumer, so
+`run_decoder` and `calibrate` skip its `block_error` step.
 """
 
 from __future__ import annotations
@@ -46,6 +50,11 @@ class PropagationBlockParams:
     phi_u: 3x3, refines the fused error
     phi_v: 1x1, C_i -> C_{i-1}, adapts the incoming residual feature
     phi_w: 3x3, merges (residual branch, encoder feature, fused error)
+
+    phi_t, psi and phi_v run at scale i, before the upsample; phi_u and phi_w
+    run at scale i-1. The finest block's phi_u is unused: its output would
+    feed no later block. It stays in the layout so that model directories
+    keep one format, and it never receives a gradient.
     """
 
     phi_t: ConvParams
@@ -144,30 +153,44 @@ def nonlocal_block(err4: Tensor, f_in4: Tensor, p: NonLocalParams) -> Tensor:
     scored by <query(err at e), key(f_in at p)> / sqrt(C). Each output pixel
     then gathers value-mapped error from every location weighted by the
     affinity into it.
+
+    Keys and values stay in the (C, N) layout of a flattened (C, H, W) map,
+    so the product over the (N_err, N_pos) affinity is `v @ A`, already in
+    the output's layout: the only N x N array is the affinity itself. The
+    1/sqrt(C) scale is applied to the (N, C) queries. `softmax_rows` sets
+    affinities below the smallest normal float to 0, so the products never
+    run on subnormal operands.
     """
     if err4.shape != f_in4.shape:
         raise ContractError(f"nonlocal_block: {err4.shape} vs {f_in4.shape}")
     c, h, w = err4.shape
-    q = ad.flatten_pixels(ad.conv2d(err4, p.psi_u))     # (N, C)
-    k = ad.flatten_pixels(ad.conv2d(f_in4, p.psi_g))    # (N, C)
-    v = ad.flatten_pixels(ad.conv2d(err4, p.psi_h))     # (N, C)
-    logits = ad.scale(ad.matmul(q, ad.transpose2d(k)), 1.0 / np.sqrt(c))
-    affinity = ad.softmax_rows(logits)                  # (N_err, N_pos)
-    out = ad.matmul(ad.transpose2d(affinity), v)        # (N_pos, C)
-    return ad.unflatten_pixels(out, h, w)
+    q = ad.scale(ad.flatten_pixels(ad.conv2d(err4, p.psi_u)), 1.0 / np.sqrt(c))  # (N, C)
+    k = ad.reshape(ad.conv2d(f_in4, p.psi_g), (c, h * w))                        # (C, N)
+    v = ad.reshape(ad.conv2d(err4, p.psi_h), (c, h * w))                         # (C, N)
+    affinity = ad.softmax_rows(ad.matmul(q, k))                                  # (N_err, N_pos)
+    return ad.reshape(ad.matmul(v, affinity), (c, h, w))
 
 
 def fused_error(err_i, style_delta_finer, p: PropagationBlockParams):
-    """The psi site: the upsampled error through phi_t, fused with the style delta."""
-    return fuse(ad.conv2d(ad.upsample_nearest2x(err_i), p.phi_t), p.psi, style_delta_finer)
+    """The psi site: the error through phi_t, fused with the style delta, upsampled.
+
+    Both maps are per-pixel and linear, so they run before the nearest
+    upsample, on a quarter of the pixels.
+    """
+    return ad.upsample_nearest2x(fuse(ad.conv2d(err_i, p.phi_t), p.psi, style_delta_finer))
 
 
-def block_outputs(fused, d_i, f_in_finer, p: PropagationBlockParams):
-    """The phi_u and phi_w sites, independent of each other: (error, residual) at 2x."""
-    err_out = ad.relu(ad.conv2d(fused, p.phi_u))
-    merged = ad.concat_channels([ad.conv2d(ad.upsample_nearest2x(d_i), p.phi_v),
+def block_error(fused, p: PropagationBlockParams):
+    """The phi_u site: the refined error at 2x, the next finer block's input."""
+    return ad.relu(ad.conv2d(fused, p.phi_u))
+
+
+def block_residual(fused, d_i, f_in_finer, p: PropagationBlockParams):
+    """The phi_w site: the refined residual feature at 2x. phi_v runs before
+    the upsample, which then carries C_{i-1} channels rather than C_i."""
+    merged = ad.concat_channels([ad.upsample_nearest2x(ad.conv2d(d_i, p.phi_v)),
                                  f_in_finer, fused])
-    return err_out, ad.relu(ad.conv2d(merged, p.phi_w))
+    return ad.relu(ad.conv2d(merged, p.phi_w))
 
 
 def propagation_block(err_i, d_i, f_in_finer, style_delta_finer, p: PropagationBlockParams):
@@ -178,22 +201,28 @@ def propagation_block(err_i, d_i, f_in_finer, style_delta_finer, p: PropagationB
     if (2 * h, 2 * w) != f_in_finer.shape[1:]:
         raise ContractError(
             f"propagation_block: upsampled {(c, 2 * h, 2 * w)} vs feature {f_in_finer.shape}")
-    return block_outputs(fused_error(err_i, style_delta_finer, p), d_i, f_in_finer, p)
+    fused = fused_error(err_i, style_delta_finer, p)
+    return block_error(fused, p), block_residual(fused, d_i, f_in_finer, p)
 
 
 def run_decoder(bundle: ErrorBundle, f_in: FeatureStack, params: LevelParams):
     """Decode an error bundle plus current-stylization features to a residual.
 
     Returns (residual, internals); internals expose the fused deep error,
-    the per-scale error maps, and the per-scale residual features.
+    the per-scale error maps of every block but the finest, and the
+    per-scale residual features.
     """
     err = fuse(bundle.content, params.fuse_w, bundle.style[-1])
     d = nonlocal_block(err, f_in.stages[-1], params.nonlocal_)
     internals = {"err": [err], "d": [d]}
     # blocks run coarsest first; `finer` is the stage index of a block's output scale
     for finer, block in zip(range(len(params.channels) - 2, -1, -1), params.blocks):
-        err, d = propagation_block(err, d, f_in.stages[finer], bundle.style[finer], block)
-        internals["err"].append(err)
+        if finer:
+            err, d = propagation_block(err, d, f_in.stages[finer], bundle.style[finer], block)
+            internals["err"].append(err)
+        else:  # nothing reads the finest block's error map
+            d = block_residual(fused_error(err, bundle.style[0], block), d, f_in.stages[0],
+                               block)
         internals["d"].append(d)
     residual = ad.conv2d(d, params.head)
     return residual, internals
@@ -203,7 +232,8 @@ def calibrate(params: LevelParams, cases):
     """Rescale each decoder site in decoder order to unit-RMS outputs (the head to
     RESIDUAL_INIT_RMS) on (error bundle, features) `cases`, each site on the
     rescaled outputs before it (LSUV, Mishkin & Matas 2015): the bilinear
-    fusions contract magnitudes by about the Gram scale."""
+    fusions contract magnitudes by about the Gram scale. The finest block's
+    phi_u has no output to calibrate and keeps its drawn scale."""
     errs = rescale_to_rms(params.fuse_w,
                           [fuse(b.content, params.fuse_w, b.style[-1]) for b, _ in cases])
     ds = rescale_to_rms(params.nonlocal_.psi_h.weight,
@@ -212,10 +242,11 @@ def calibrate(params: LevelParams, cases):
     for finer, block in zip(range(len(params.channels) - 2, -1, -1), params.blocks):
         fused = rescale_to_rms(block.psi, [fused_error(e, b.style[finer], block)
                                            for e, (b, _) in zip(errs, cases)])
-        outs = [block_outputs(x, d, f_in.stages[finer], block)
-                for x, d, (_, f_in) in zip(fused, ds, cases)]
-        errs = rescale_to_rms(block.phi_u.weight, [e for e, _ in outs])
-        ds = rescale_to_rms(block.phi_w.weight, [d for _, d in outs])
+        if finer:
+            errs = rescale_to_rms(block.phi_u.weight, [block_error(x, block) for x in fused])
+        ds = rescale_to_rms(block.phi_w.weight,
+                            [block_residual(x, d, f_in.stages[finer], block)
+                             for x, d, (_, f_in) in zip(fused, ds, cases)])
     rescale_to_rms(params.head.weight, [ad.conv2d(d, params.head) for d in ds],
                    target=RESIDUAL_INIT_RMS)
 

@@ -408,6 +408,24 @@ class TestMatmulSoftmax:
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [[0.5, 0.5, 0.0]], atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spread", [120.0, 800.0])
+    def test_softmax_flushes_subnormals(self, dtype, spread):
+        """No probability is subnormal: those below the smallest normal float
+        become exactly 0, and the rows still sum to 1."""
+        tiny = np.finfo(dtype).tiny
+        ramp = np.linspace(0.0, -spread, 4001)
+        logits = np.stack([ramp, ramp[::-1], np.roll(ramp, 1234) + 7.0]).astype(dtype)
+        out = ad.softmax_rows(Tensor(logits)).data
+        assert out.dtype == dtype
+        assert not np.any((out > 0) & (out < tiny))
+        np.testing.assert_allclose(out.sum(axis=1), np.ones(3), atol=1e-6)
+        # where the ramp spans the dtype's subnormal range, an unflushed softmax has subnormals
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        plain = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        if -np.log(tiny) < spread:
+            assert np.any((plain > 0) & (plain < tiny))
+
     def test_matmul_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((5, 4)).astype(np.float32)
@@ -504,6 +522,11 @@ def _conv_case(k, pad, c_in=3, c_out=4, size=6):
     return gradcheck.case(conv, ((c_in, size, size), 1.0), ((c_out, c_in, k, k), 1.0))
 
 
+def _channel_rows(a):
+    """(C, H, W) -> (C, H*W), the layout nonlocal_block's keys and values use."""
+    return ad.reshape(a, (a.shape[0], -1))
+
+
 class TestFiniteDifferences:
     """Analytic gradients vs central differences on float64 shadows."""
 
@@ -548,10 +571,13 @@ class TestFiniteDifferences:
         ("softmax_rows", ad.softmax_rows, (4, 6)),
         ("gram", ad.gram, (3, 4, 4)),
         ("flatten", ad.flatten_pixels, (3, 2, 4)),
-        ("transpose", ad.transpose2d, (3, 5)),
+        ("reshape", _channel_rows, (3, 2, 4)),
         ("clamp01", ad.clamp01, (4, 4)),
         ("mean", ad.mean_all, (3, 4)),
-    ])
+    ], ids=["relu-relu-shape0", "avgpool2x-avgpool2x-shape1",
+            "upsample2x-upsample_nearest2x-shape2", "softmax_rows-softmax_rows-shape3",
+            "gram-gram-shape4", "flatten-flatten_pixels-shape5", "reshape-reshape-shape6",
+            "clamp01-clamp01-shape7", "mean-mean_all-shape8"])
     def test_unary_ops(self, seed, name, op, shape):
         assert gradcheck.check_gradients(gradcheck.case(op, (shape, 1.0)), seed) < 1e-4
 

@@ -381,7 +381,8 @@ class TestTrainLevel:
 @pytest.mark.parametrize("size, levels", [(96, 3), (32, 2)])
 def test_calibrated_decoder_maps_have_unit_rms(enc, size, levels):
     """On its own probes, every calibrated level's decoder gives error and
-    residual-feature maps of pooled RMS 1 and a residual of RESIDUAL_INIT_RMS."""
+    residual-feature maps of pooled RMS 1 and a residual of RESIDUAL_INIT_RMS.
+    The finest block makes no error map, so there is one error site fewer."""
     cfg = tiny_config(image_size=size, levels=levels, lambda_ps=(1.0,) * levels)
     contents, styles = make_corpus(CorpusSpec(seed=cfg.seed, size=cfg.image_size,
                                               content_count=cfg.content_count,
@@ -394,8 +395,10 @@ def test_calibrated_decoder_maps_have_unit_rms(enc, size, levels):
         params = init_level_params(cfg, level, enc, contents, styles)
         runs = [run_decoder(bundle, f_in, params)
                 for bundle, f_in in probe_cases(cfg, level, enc, contents, styles)]
-        for key in ("err", "d"):
-            for site in range(len(CHANNELS)):  # the deep map, then one per block
+        # the deep map, then one per block
+        for key, sites in (("err", len(CHANNELS) - 1), ("d", len(CHANNELS))):
+            assert all(len(internals[key]) == sites for _, internals in runs)
+            for site in range(sites):
                 got = pooled_rms([internals[key][site] for _, internals in runs])
                 assert got == pytest.approx(1.0, rel=1e-4), (level, key, site)
         got = pooled_rms([residual for residual, _ in runs])

@@ -6,11 +6,12 @@ import pytest
 from restyle import autodiff as ad
 from restyle import gradcheck
 from restyle.autodiff import ConvParams, Tensor, load_state
-from restyle.encoder import ErrorBundle, encode, make_encoder
+from restyle.encoder import ErrorBundle, encode, make_encoder, pair_errors
 from restyle.errors import ContractError
 from restyle.transition import (LevelParams, NonLocalParams, PropagationBlockParams,
-                                etnet_forward, make_level_params, nonlocal_block,
-                                propagation_block, run_decoder)
+                                block_residual, etnet_forward, fused_error,
+                                make_level_params, nonlocal_block, propagation_block,
+                                run_decoder)
 
 from test_encoder import rand_img
 
@@ -89,11 +90,33 @@ class TestNonLocalBlock:
         p = make_nonlocal(rng, 4)
         err = Tensor(rng.standard_normal((4, 3, 3)).astype(np.float32))
         f_in = Tensor(rng.standard_normal((4, 3, 3)).astype(np.float32))
-        q = ad.flatten_pixels(ad.conv2d(err, p.psi_u))
-        k = ad.flatten_pixels(ad.conv2d(f_in, p.psi_g))
-        logits = ad.scale(ad.matmul(q, ad.transpose2d(k)), 1.0 / 2.0)
-        aff = ad.softmax_rows(logits).data
+        q = ad.scale(ad.flatten_pixels(ad.conv2d(err, p.psi_u)), 1.0 / 2.0)
+        k = ad.reshape(ad.conv2d(f_in, p.psi_g), (4, 9))
+        aff = ad.softmax_rows(ad.matmul(q, k)).data
         np.testing.assert_allclose(aff.sum(axis=1), np.ones(9), atol=1e-6)
+
+    def test_peaked_affinity_matches_oracle(self):
+        # query and key weights this large spread each logit row over
+        # hundreds, so float32 affinities fall below the smallest normal
+        # float and are flushed to 0
+        rng = np.random.default_rng(12)
+        p = make_nonlocal(rng, 4)
+        p.psi_u.weight.data *= 6
+        p.psi_g.weight.data *= 6
+        err = rng.standard_normal((4, 6, 6)).astype(np.float32)
+        f_in = rng.standard_normal((4, 6, 6)).astype(np.float32)
+        q = ad.flatten_pixels(ad.conv2d(Tensor(err), p.psi_u)).data
+        k = ad.conv2d(Tensor(f_in), p.psi_g).data.reshape(4, 36)
+        shifted = q @ k / 2.0
+        shifted -= shifted.max(axis=1, keepdims=True)
+        unflushed = np.exp(shifted)
+        assert np.any((unflushed > 0) & (unflushed < np.finfo(np.float32).tiny))
+        got = nonlocal_block(Tensor(err), Tensor(f_in), p).data
+        want = nonlocal_loops(err.astype(np.float64), f_in.astype(np.float64),
+                              p.psi_h.weight.data.astype(np.float64),
+                              p.psi_u.weight.data.astype(np.float64),
+                              p.psi_g.weight.data.astype(np.float64))
+        np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_cyclic_shift_covariance(self):
         # no padding anywhere in the block, so a cyclic pixel shift of both
@@ -156,7 +179,46 @@ def propagation_loops(err, d, f_in, style_delta, p):
     return err_out, d_out
 
 
+def conv_shift_sum(x, w, pad):
+    """Zero-padded stride-1 convolution in float64 as a sum of shifted 1x1 maps."""
+    _, _, k, _ = w.shape
+    _, h, wid = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    return sum(np.einsum("oi,ihw->ohw", w[:, :, ky, kx], xp[:, ky:ky + h, kx:kx + wid])
+               for ky in range(k) for kx in range(k))
+
+
+def upsample_first_oracle(err, d, f_in, style_delta, p):
+    """(fused, residual) by the upsample-first formula, in float64: phi_t, the
+    fusion and phi_v applied to the upsampled maps."""
+    up = lambda a: np.repeat(np.repeat(a, 2, axis=1), 2, axis=2)
+    w = lambda conv: conv.weight.data.astype(np.float64)
+    t = conv_shift_sum(up(err), w(p.phi_t), 0)
+    mix = p.psi.data.astype(np.float64) @ style_delta.astype(np.float64)
+    fused = np.einsum("chw,cd->dhw", t, mix)
+    v = conv_shift_sum(up(d), w(p.phi_v), 0)
+    merged = np.concatenate([v, f_in, fused], axis=0)
+    return fused, np.maximum(conv_shift_sum(merged, w(p.phi_w), 1), 0.0)
+
+
 class TestPropagationBlock:
+    @pytest.mark.parametrize("size", [3, 12, 48])
+    def test_maps_before_upsample_match_upsample_first(self, size):
+        """fused_error and block_residual run phi_t, the fusion and phi_v before
+        the upsample; they equal the upsample-first formula."""
+        rng = np.random.default_rng(50 + size)
+        p = make_block(rng, 6, 4)
+        err = rng.standard_normal((6, size, size)).astype(np.float32)
+        d = rng.standard_normal((6, size, size)).astype(np.float32)
+        f_in = rng.standard_normal((4, 2 * size, 2 * size)).astype(np.float32)
+        sd = rng.standard_normal((4, 4)).astype(np.float32)
+        fused = fused_error(Tensor(err), Tensor(sd), p)
+        d_got = block_residual(fused, Tensor(d), Tensor(f_in), p)
+        fused_want, d_want = upsample_first_oracle(
+            err.astype(np.float64), d.astype(np.float64), f_in.astype(np.float64), sd, p)
+        np.testing.assert_allclose(fused.data, fused_want, atol=1e-5)
+        np.testing.assert_allclose(d_got.data, d_want, atol=1e-5)
+
     def test_zero_error_zeroes_error_branch(self):
         rng = np.random.default_rng(20)
         p = make_block(rng, 6, 4)
@@ -281,6 +343,20 @@ class TestEtnetForward:
         residual, internals = run_decoder(bundle, f_in, params)
         for err in internals["err"]:
             assert np.max(np.abs(err.data)) == 0.0
+
+    def test_finest_error_map_is_unused(self, small_setup):
+        """The finest block's phi_u feeds nothing: a NaN weight there leaves the
+        residual finite and unchanged, and internals hold no finest error map."""
+        enc, params = small_setup
+        bundle, f_in = pair_errors(rand_img(10, 16), rand_img(11, 16), rand_img(9, 16), enc)
+        residual, internals = run_decoder(bundle, f_in, params)
+        poisoned = ad.cast_params(params, np.float32)
+        poisoned.blocks[-1].phi_u.weight.data[:] = np.nan
+        got, _ = run_decoder(bundle, f_in, poisoned)
+        assert np.all(np.isfinite(got.data))
+        np.testing.assert_array_equal(got.data, residual.data)
+        assert [e.shape[1] for e in internals["err"]] == [2, 4, 8]
+        assert [d.shape[1] for d in internals["d"]] == [2, 4, 8, 16]
 
     def test_all_zero_images_give_zero_residual(self, small_setup):
         # bias-free everywhere: zero images produce exactly zero residual
