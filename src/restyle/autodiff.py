@@ -15,7 +15,6 @@ so purely inference-side computation carries no bookkeeping cost.
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -427,80 +426,85 @@ class ConvParams:
             raise ContractError("ConvParams: padding must be non-negative")
 
 
-def _spans(k, pad, n, first, last):
-    """Per tap offset along one axis of length n, the outputs that read inside it.
+def _tap_rows(x, k, pad, rows, out=None):
+    """The k column-shifted copies of a (C, H, W) input that output rows `rows` read.
 
-    Output o of tap t reads input o + t - pad (stride 1). For outputs o in
-    [first, last), returns (t, out, inp) for each tap t that reads inside
-    [0, n) somewhere: `out` is the span of such outputs, counted from
-    `first`, and `inp` the span of inputs they read. Outside `out` the tap
-    reads the zero border, which is never built; a tap that reads only
-    border is left out. A 2-d tap (ky, kx) pairs a row span with a column
-    span.
-    """
-    spans = []
-    for t in range(k):
-        lo = max(first, pad - t)  # first o with o + t - pad >= 0
-        hi = min(last, n + pad - t)
-        if hi > lo:
-            spans.append((t, slice(lo - first, hi - first),
-                          slice(lo + t - pad, hi + t - pad)))
-    return spans
-
-
-def _im2col(x, k, pad, rows, wo):
-    """Column matrix of a (C, H, W) input for the output rows `rows`, a range.
-
-    The shape is (C*k*k, len(rows)*Wo). Row (c, ky, kx) holds what tap
-    (ky, kx) reads from channel c at each output pixel of those rows, so
-    their conv output is one GEMM of the (C_out, C*k*k) weight by it;
-    `range(Ho)` gives the full matrix. Each tap's in-map window is copied
-    into a zeroed buffer, so the padded input is never built. An unpadded
-    1x1 conv uses the input's rows themselves, reshaped without a copy.
+    The shape is (k, C, len(rows) + k - 1, Wo) with Wo = W + 2*pad - k + 1,
+    and entry [kx, c, j, q] is x_pad[c, rows.start + j, q + kx], where x_pad
+    is x with `pad` zeros on every side: tap column kx of every padded input
+    row that the rows' kernels touch. Only the in-map window of each shift
+    is copied into a zeroed buffer, so the padded input is never built; a
+    given `out` must already be zero. A negative `pad` crops the input
+    instead. An unpadded 1x1 conv reads the input's rows themselves, viewed
+    without a copy.
     """
     c, h, w = x.shape
-    if k == 1 and pad == 0:  # every 1x1 conv in the model
-        return x[:, rows.start:rows.stop].reshape(c, len(rows) * w)
-    n = len(rows)
-    col = np.zeros((c, k, k, n, wo), dtype=x.dtype)
-    ys = _spans(k, pad, h, rows.start, rows.stop)
-    xs = _spans(k, pad, w, 0, wo)
-    for (ky, oy, iy), (kx, ox, ix) in itertools.product(ys, xs):
-        col[:, ky, kx, oy, ox] = x[:, iy, ix]
-    return col.reshape(c * k * k, n * wo)
+    if k == 1 and pad == 0 and out is None:
+        return x[None, :, rows.start:rows.stop]
+    n, wo = len(rows) + k - 1, w + 2 * pad - k + 1
+    taps = np.zeros((k, c, n, wo), dtype=x.dtype) if out is None else out
+    y0 = rows.start - pad  # the input row under tap row 0
+    j0, j1 = max(0, -y0), min(n, h - y0)
+    if j1 > j0:
+        for kx in range(k):
+            q0, q1 = max(0, pad - kx), min(wo, w + pad - kx)
+            if q1 > q0:
+                taps[kx, :, j0:j1, q0:q1] = x[:, y0 + j0:y0 + j1, q0 + kx - pad:q1 + kx - pad]
+    return taps
 
 
-def _col2im(dcol, x, k, pad, ho, wo):
-    """Adjoint of `_im2col`: scatter-add column gradients onto x's shape.
-
-    Each tap's window is added into an unpadded zero buffer in tap order:
-    every pixel gets its contributions in the order a scatter into a padded
-    buffer would add them, less those that land in the border, so the
-    gradient is that of the padded scatter bit for bit. For the identity
-    columns the column gradient is dx, reshaped.
-    """
-    c, h, w = x.shape
-    if k == 1 and pad == 0:
-        return dcol.reshape(c, h, w)
-    dcol = dcol.reshape(c, k, k, ho, wo)
-    dx = np.zeros((c, h, w), dtype=x.dtype)
-    ys = _spans(k, pad, h, 0, ho)
-    xs = _spans(k, pad, w, 0, wo)
-    for (ky, oy, iy), (kx, ox, ix) in itertools.product(ys, xs):
-        dx[:, iy, ix] += dcol[:, ky, kx, oy, ox]
-    return dx
-
-
-# Upper bound on one band's column matrix when conv2d builds its columns in
-# bands of output rows. 4-12 MiB ran fastest on the model's large convs, 2 and
-# 16 MiB slower.
+# Upper bound on one band's tap rows plus its k partial maps when _conv_rows
+# splits the output into bands of rows. On the model's 3x3 convs at 384 px,
+# 4-32 MiB ran within noise of each other and 2 MiB about 30% slower.
 COLUMN_BYTES = 8 << 20
 
-# A trainable weight's full column matrix up to this size is kept from the
-# forward pass for its gradient; a larger one is rebuilt in the backward pass.
-# Rebuilding them all cost about 4.5% of a level-3 (24 px) training sample,
-# where every one is under 1 MiB; at 96 px every 3x3 one is larger.
-KEEP_COLUMN_BYTES = 1 << 20
+# Every band's GEMM gets a whole number of GEMM_BLOCK columns, zero-padded.
+# OpenBLAS's dgemm sums the columns past a GEMM's last multiple of 8 in
+# another order than the rest, so a band whose GEMM ended there would round
+# those columns differently from the one-band product.
+GEMM_BLOCK = 16
+
+
+def _conv_rows(x, weight, pad):
+    """Stride-1 cross-correlation of a (C_in, H, W) array with a (C_out, C_in, k, k) one.
+
+    Each band of output rows is one GEMM of the (k*C_out, k*C_in) weight,
+    ky-major rows by kx-major columns, by the band's `_tap_rows`, padded
+    with zero columns to a multiple of GEMM_BLOCK. That gives k partial
+    maps over the band's rows plus k - 1, and partial ky, shifted up by ky
+    rows, adds into the output. The rows are split evenly into the fewest
+    bands whose tap rows and partial maps fit in `COLUMN_BYTES`. A negative
+    `pad` crops: the gather the transposed conv in conv2d's dx needs when
+    pad > k - 1. An unpadded 1x1 conv copies nothing, so it is not banded:
+    it is one GEMM of the reshaped weight by the input.
+    """
+    c_out, c_in, k, _ = weight.shape
+    _, h, w = x.shape
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    if k == 1 and pad == 0:  # every 1x1 conv in the model
+        return (weight.reshape(c_out, c_in) @ x.reshape(c_in, h * w)).reshape(c_out, h, w)
+    wk = weight.transpose(2, 0, 3, 1).reshape(k * c_out, k * c_in)
+    out = np.empty((c_out, ho, wo), dtype=np.result_type(weight, x))
+    row_bytes = k * (c_in + c_out) * wo * x.dtype.itemsize
+    rows_per_band = max(1, COLUMN_BYTES // row_bytes - (k - 1))
+    n = -(-ho // rows_per_band)
+    for i in range(n):
+        rows = range(ho * i // n, ho * (i + 1) // n)
+        m = len(rows)
+        cols = (m + k - 1) * wo
+        taps = np.zeros((k * c_in, -(-cols // GEMM_BLOCK) * GEMM_BLOCK), dtype=x.dtype)
+        _tap_rows(x, k, pad, rows, out=taps[:, :cols].reshape(k, c_in, m + k - 1, wo))
+        part = (wk @ taps)[:, :cols].reshape(k, c_out, m + k - 1, wo)
+        del taps  # before the next band is built
+        band = out[:, rows.start:rows.stop]
+        if k == 1:
+            band[...] = part[0]
+        else:
+            np.add(part[0, :, :m], part[1, :, 1:m + 1], out=band)
+            for ky in range(2, k):
+                band += part[ky, :, ky:ky + m]
+        del part
+    return out
 
 
 def conv2d(x, p):
@@ -508,28 +512,31 @@ def conv2d(x, p):
 
     The output is (C_out, H + 2*pad - k + 1, W + 2*pad - k + 1); the model's
     3x3 convs with padding 1 and 1x1 convs without keep the map's size
-    (`ConvParams` says why there is no stride or bias). It is the reshaped
-    weight times the `_im2col` columns. The output rows are split evenly
-    into the fewest bands whose columns fit in `COLUMN_BYTES`; each band's
-    GEMM writes its rows of the output, so the columns take O(band) memory
-    rather than O(H*W). Each output element is the same dot product as in
-    one full GEMM, and its bits match while BLAS runs every band with the
-    kernel it uses for the full product. OpenBLAS
-    sums GEMMs under about 1e6 multiply-adds with other kernels; even bands
-    are never under a quarter of the budget, which keeps the model's float32
-    bands above that (TestBandedColumns in tests/test_autodiff.py checks the
-    bits).
+    (`ConvParams` says why there is no stride or bias). `_conv_rows` computes
+    it from `_tap_rows`, k column-shifted copies of the input rows, rather
+    than from k*k-tap im2col columns (the low-memory GEMM convolution of
+    Anderson, Vasiliadis and Gregg 2017): one GEMM of the (k*C_out, k*C_in)
+    rearranged weight by the tap rows gives k partial maps, and partial ky
+    adds into the output shifted by ky rows. The rows are split evenly into
+    the fewest bands whose tap rows and partial maps fit in `COLUMN_BYTES`,
+    so a conv takes O(band) memory besides its output. Each output element
+    is the same sum of k partial dot products whatever the banding, and it
+    keeps its bits because each band's GEMM is padded to whole blocks of
+    `GEMM_BLOCK` columns, so BLAS sums every column with the same kernel
+    (but OpenBLAS sums GEMMs under about 1e6 multiply-adds with other
+    kernels; TestBandedColumns in tests/test_autodiff.py checks float32 and
+    float64). An unpadded 1x1 conv is one GEMM of the reshaped weight by the
+    input.
 
-    The backward pass multiplies the output gradient by the weight for the
-    column gradient, which `_col2im` scatters back onto the input (see those
-    two for the paths taken). A weight that needs a gradient gets it from one
-    GEMM of the output gradient by the full column matrix. Above
-    `KEEP_COLUMN_BYTES` the backward pass rebuilds that matrix with `_im2col`
-    rather than keeping it from the forward pass (recomputation for memory,
-    as in gradient checkpointing): a trainable 48->16 conv at 96 px would
-    otherwise hold 16 MB from its forward pass until the backward pass
-    reaches it. A smaller one is kept, which is cheaper than building it
-    twice.
+    The backward pass gives dx as the same routine on the output gradient,
+    with the weight flipped in both spatial axes and its channel axes
+    swapped, at padding k - 1 - pad: a gather, with no scatter-add; where
+    pad > k - 1 that padding is negative and crops. A weight that needs a
+    gradient gets it from k GEMMs of the output gradient by strided views of
+    the full tap rows, one per ky, shifted down by ky rows. The backward pass
+    rebuilds those tap rows rather than keeping them from the forward pass
+    (recomputation for memory, as in gradient checkpointing): they are k
+    times the size of the input, and gone before dx is built.
     """
     _check_chw(x, "conv2d")
     weight, pad = p.weight, p.padding
@@ -541,31 +548,21 @@ def conv2d(x, p):
         raise ContractError(f"conv2d: padded input {h}x{w} (pad {pad}) smaller than kernel {k}")
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
 
-    w2 = weight.data.reshape(c_out, c_in * k * k)
-    rows_per_band = max(1, COLUMN_BYTES // (c_in * k * k * wo * x.dtype.itemsize))
-    n = -(-ho // rows_per_band)
-    out = np.empty((c_out, ho * wo), dtype=np.result_type(w2, x.data))
-    # a kept matrix is the one band: KEEP_COLUMN_BYTES < COLUMN_BYTES
-    keep = weight.requires_grad and c_in * k * k * ho * wo * x.dtype.itemsize <= KEEP_COLUMN_BYTES
-    kept = None
-    for i in range(n):
-        rows = range(ho * i // n, ho * (i + 1) // n)
-        col = _im2col(x.data, k, pad, rows, wo)
-        np.matmul(w2, col, out=out[:, rows.start * wo:rows.stop * wo])
-        if keep:
-            kept = col
-        del col  # before the next band is built
-
     def bw(g):
-        g2 = g.reshape(c_out, ho * wo)
         if weight.requires_grad:
-            col = kept if keep else _im2col(x.data, k, pad, range(ho), wo)
-            accumulate(weight, (g2 @ col.T).reshape(weight.shape))
-            del col  # before the column gradient is built
+            taps = _tap_rows(x.data, k, pad, range(ho))
+            g2 = g.reshape(c_out, ho * wo)
+            dw = np.empty((k, c_out, k, c_in), dtype=g.dtype)
+            for ky in range(k):
+                rows = taps[:, :, ky:ky + ho].reshape(k * c_in, ho * wo)
+                np.matmul(g2, rows.T, out=dw[ky].reshape(c_out, k * c_in))
+            del taps  # before dx is built
+            accumulate(weight, dw.transpose(1, 3, 0, 2))
         if x.requires_grad:
-            accumulate(x, _col2im(w2.T @ g2, x.data, k, pad, ho, wo))
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            accumulate(x, _conv_rows(g, flipped, k - 1 - pad))
 
-    return record(out.reshape(c_out, ho, wo), (x, weight), bw)
+    return record(_conv_rows(x.data, weight.data, pad), (x, weight), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,25 @@ def conv2d_loops(x, weight, bias, stride, pad):
     return out
 
 
+def conv2d_grads_loops(x, weight, g, pad):
+    """(dx, dW) of a stride-1 conv for output gradient g, by direct loops (float64)."""
+    c_out, c_in, k, _ = weight.shape
+    _, h, w = x.shape
+    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros(weight.shape)
+    for co in range(c_out):
+        for oy in range(g.shape[1]):
+            for ox in range(g.shape[2]):
+                for ci in range(c_in):
+                    for ky in range(k):
+                        for kx in range(k):
+                            dxp[ci, oy + ky, ox + kx] += weight[co, ci, ky, kx] * g[co, oy, ox]
+                            dw[co, ci, ky, kx] += xp[ci, oy + ky, ox + kx] * g[co, oy, ox]
+    return dxp[:, pad:pad + h, pad:pad + w], dw
+
+
 def matmul_loops(a, b):
     m, k = a.shape
     _, n = b.shape
@@ -80,7 +99,8 @@ class TestConv2d:
     @pytest.mark.parametrize("k,c_in,c_out,h,w", [
         (3, 16, 48, 12, 12), (3, 48, 16, 9, 7), (3, 2, 3, 1, 2), (1, 48, 16, 12, 12), (1, 3, 5, 4, 6)])
     def test_same_conv_bitwise_equals_padded_columns(self, k, c_in, c_out, h, w):
-        """The pad-free column paths reproduce pad + im2col + scatter byte for byte."""
+        """The pad-free tap-row paths reproduce np.pad + shifted copies + GEMM byte
+        for byte: out and dx as `padded_tap_conv`, dW as k GEMMs of np.pad tap rows."""
         rng = np.random.default_rng(k * 100 + c_in)
         pad = k // 2
         x = Tensor(rng.standard_normal((c_in, h, w)).astype(np.float32), requires_grad=True)
@@ -89,23 +109,30 @@ class TestConv2d:
         g = rng.standard_normal((c_out, h, w)).astype(np.float32)
         out = ad.conv2d(x, ConvParams(weight=wgt, padding=pad))
         ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+        flipped = wgt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        assert out.data.tobytes() == padded_tap_conv(x.data, wgt.data, pad).tobytes()
+        assert wgt.grad.tobytes() == padded_tap_weight_grad(x.data, g, k, pad).tobytes()
+        assert x.grad.tobytes() == padded_tap_conv(g, flipped, k - 1 - pad).tobytes()
 
-        xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-        col = np.empty((c_in, k, k, h, w), dtype=np.float32)
-        for ky in range(k):
-            for kx in range(k):
-                col[:, ky, kx] = xp[:, ky:ky + h, kx:kx + w]
-        col = col.reshape(c_in * k * k, h * w)
-        w2 = wgt.data.reshape(c_out, c_in * k * k)
-        g2 = g.reshape(c_out, h * w)
-        dcol = (w2.T @ g2).reshape(c_in, k, k, h, w)
-        dxp = np.zeros(xp.shape, dtype=np.float32)
-        for ky in range(k):
-            for kx in range(k):
-                dxp[:, ky:ky + h, kx:kx + w] += dcol[:, ky, kx]
-        assert out.data.tobytes() == (w2 @ col).tobytes()
-        assert wgt.grad.tobytes() == (g2 @ col.T).tobytes()
-        assert x.grad.tobytes() == np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w]).tobytes()
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,pad,c_in,c_out,h,w", [
+        (3, 1, 3, 4, 6, 6), (3, 1, 3, 4, 5, 8), (3, 0, 2, 3, 7, 5), (3, 2, 2, 3, 4, 6),
+        (3, 3, 2, 2, 3, 5), (1, 0, 3, 2, 5, 7), (1, 1, 2, 3, 4, 3)],
+        ids=["3-1-6x6", "3-1-5x8", "3-0-7x5", "3-2-4x6", "3-3-3x5", "1-0-5x7", "1-1-4x3"])
+    def test_forward_and_gradients_match_loop_oracle(self, k, pad, c_in, c_out, h, w, dtype):
+        """out, dx and dW against float64 loops, on square and non-square maps;
+        pad > k - 1 takes dx's crop."""
+        rng = np.random.default_rng(k * 10 + pad + h)
+        x = Tensor(rng.standard_normal((c_in, h, w)).astype(dtype), requires_grad=True)
+        wgt = Tensor(rng.standard_normal((c_out, c_in, k, k)).astype(dtype), requires_grad=True)
+        out = ad.conv2d(x, ConvParams(weight=wgt, padding=pad))
+        g = rng.standard_normal(out.shape).astype(dtype)
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+        x64, w64, g64 = (a.astype(np.float64) for a in (x.data, wgt.data, g))
+        dx, dw = conv2d_grads_loops(x64, w64, g64, pad)
+        np.testing.assert_allclose(out.data, conv2d_loops(x64, w64, None, 1, pad), atol=1e-5)
+        np.testing.assert_allclose(x.grad, dx, atol=1e-5)
+        np.testing.assert_allclose(wgt.grad, dw, atol=1e-5)
 
     def test_reference_case_pad1(self):
         rng = np.random.default_rng(7)
@@ -128,121 +155,140 @@ class TestConv2d:
             ConvParams(weight=Tensor(np.zeros((1, 1, 5, 5))))
 
 
-def padded_columns(x, k, pad):
-    """Full column matrix of a (C, H, W) array through np.pad: the reference im2col."""
-    c, h, w = x.shape
-    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+def padded_tap_rows(x, k, pad):
+    """Full tap rows of a (C, H, W) array through np.pad: the reference `_tap_rows`."""
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    col = np.empty((c, k, k, ho, wo), dtype=x.dtype)
-    for ky in range(k):
-        for kx in range(k):
-            col[:, ky, kx] = xp[:, ky:ky + ho, kx:kx + wo]
-    return col.reshape(c * k * k, ho * wo)
+    wo = xp.shape[2] - k + 1
+    return np.stack([xp[:, :, kx:kx + wo] for kx in range(k)])
+
+
+def padded_tap_conv(x, weight, pad):
+    """conv2d's forward pass in one band, from np.pad tap rows."""
+    c_out, c_in, k, _ = weight.shape
+    taps = padded_tap_rows(x, k, pad)
+    ho, wo = taps.shape[2] - k + 1, taps.shape[3]
+    wk = weight.transpose(2, 0, 3, 1).reshape(k * c_out, k * c_in)
+    part = (wk @ taps.reshape(k * c_in, -1)).reshape(k, c_out, ho + k - 1, wo)
+    out = part[0, :, :ho]
+    for ky in range(1, k):
+        out = out + part[ky, :, ky:ky + ho]
+    return out
+
+
+def padded_tap_weight_grad(x, g, k, pad):
+    """conv2d's weight gradient: one GEMM per ky of g by the np.pad tap rows."""
+    c_out, ho, wo = g.shape
+    taps = padded_tap_rows(x, k, pad)
+    c_in = taps.shape[1]
+    dw = np.stack([g.reshape(c_out, -1) @ np.ascontiguousarray(
+        taps[:, :, ky:ky + ho]).reshape(k * c_in, -1).T for ky in range(k)])
+    return np.ascontiguousarray(dw.reshape(k, c_out, k, c_in).transpose(1, 3, 0, 2))
+
+
+def _banded(monkeypatch, rows, k, c_in, c_out, wo, dtype):
+    """Set COLUMN_BYTES to give `rows` output rows per band of this conv."""
+    row_bytes = k * (c_in + c_out) * wo * np.dtype(dtype).itemsize
+    monkeypatch.setattr(ad, "COLUMN_BYTES", (rows + k - 1) * row_bytes + row_bytes // 2)
 
 
 class TestBandedColumns:
-    """A frozen weight builds its columns in bands of output rows under COLUMN_BYTES."""
+    """conv2d works in bands of output rows whose tap rows and partial maps fit
+    in COLUMN_BYTES, and every result keeps the bits of one band, in float32
+    and float64."""
 
     CASES = [(3, 1), (3, 0), (3, 2), (1, 0), (1, 1)]  # k, pad
     IDS = [f"{k}-{pad}-1" for k, pad in CASES]  # k-pad-stride; conv2d's stride is always 1
 
     @pytest.mark.parametrize("k,pad", CASES, ids=IDS)
     def test_band_columns_equal_padded_columns(self, k, pad):
-        """Every band of 1 to 5 rows is its slice of the np.pad columns."""
+        """Every band of 1 to 5 rows of `_tap_rows` is its slice of the np.pad tap rows."""
         rng = np.random.default_rng(k * 10 + pad)
         x = rng.standard_normal((3, 9, 7)).astype(np.float32)
-        full = padded_columns(x, k, pad)
-        ho, wo = 9 + 2 * pad - k + 1, 7 + 2 * pad - k + 1
+        full = padded_tap_rows(x, k, pad)
+        ho = 9 + 2 * pad - k + 1
         for r0 in range(ho):
             for r1 in range(r0 + 1, min(ho, r0 + 5) + 1):
-                got = ad._im2col(x, k, pad, range(r0, r1), wo)
-                assert got.tobytes() == np.ascontiguousarray(full[:, r0 * wo:r1 * wo]).tobytes()
+                got = np.ascontiguousarray(ad._tap_rows(x, k, pad, range(r0, r1)))
+                assert got.tobytes() == np.ascontiguousarray(full[:, :, r0:r1 + k - 1]).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k,pad", CASES, ids=IDS)
     @pytest.mark.parametrize("x_grad", [False, True])
     def test_bands_bitwise_equal_full_gemm(self, monkeypatch, dtype, k, pad, x_grad):
-        """A 48->16 conv of a 96 px map in bands of 19-20 rows: out and dx keep their bits.
-
-        Bands this large keep each GEMM above 1e6 multiply-adds; see conv2d."""
+        """A 48->16 conv of a 96x94 map in bands of 19-20 rows: out, x.grad
+        (when x needs one) and weight.grad (when the weight does, and None
+        when it is frozen, as in the encoder) keep the bits of one band.
+        Bands this large keep each GEMM above 1e6 multiply-adds; see conv2d.
+        An unpadded 1x1 conv is one GEMM, with no bands."""
         rng = np.random.default_rng(k * 10 + pad)
         c_in, c_out, h, w = 48, 16, 96, 94
         ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-        row_bytes = c_in * k * k * wo * np.dtype(dtype).itemsize
-        monkeypatch.setattr(ad, "COLUMN_BYTES", 20 * row_bytes + row_bytes // 2)
+        x = rng.standard_normal((c_in, h, w)).astype(dtype)
+        wgt = rng.standard_normal((c_out, c_in, k, k)).astype(dtype)
+        g = rng.standard_normal((c_out, ho, wo)).astype(dtype)
         calls = []
-        im2col = ad._im2col
-        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[3]) or im2col(*a))
-        x = Tensor(rng.standard_normal((c_in, h, w)).astype(dtype), requires_grad=x_grad)
-        wgt = Tensor(rng.standard_normal((c_out, c_in, k, k)).astype(dtype))
-        out = ad.conv2d(x, ConvParams(weight=wgt, padding=pad))
+        tap_rows = ad._tap_rows
+        monkeypatch.setattr(ad, "_tap_rows",
+                            lambda *a, **kw: calls.append(a[3]) or tap_rows(*a, **kw))
+
+        def run(w_grad):
+            calls.clear()
+            xt = Tensor(x, requires_grad=x_grad)
+            wt = Tensor(wgt, requires_grad=w_grad)
+            out = ad.conv2d(xt, ConvParams(weight=wt, padding=pad))
+            forward_calls = list(calls)
+            assert out.requires_grad == (x_grad or w_grad)
+            if out.requires_grad:
+                ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            assert (xt.grad is not None) == x_grad and (wt.grad is not None) == w_grad
+            return forward_calls, [a.tobytes() for a in (out.data, xt.grad, wt.grad) if a is not None]
+
         n = -(-ho // 20)
-        assert [len(r) for r in calls] == [ho * (i + 1) // n - ho * i // n for i in range(n)]
-        assert sum(len(r) for r in calls) == ho and len(calls) >= 3
-        w2 = wgt.data.reshape(c_out, -1)
-        assert out.data.tobytes() == (w2 @ padded_columns(x.data, k, pad)).tobytes()
-        assert out.requires_grad == x_grad
-        if x_grad:
-            g = rng.standard_normal(out.shape).astype(dtype)
-            ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
-            dx = ad._col2im(w2.T @ g.reshape(c_out, -1), x.data, k, pad, ho, wo)
-            assert x.grad.tobytes() == dx.tobytes()
-            assert wgt.grad is None
+        unpadded_1x1 = k == 1 and pad == 0
+        for w_grad in (False, True):
+            monkeypatch.setattr(ad, "COLUMN_BYTES", 1 << 40)
+            one_band, want = run(w_grad)
+            assert one_band == ([] if unpadded_1x1 else [range(ho)])
+            _banded(monkeypatch, 20, k, c_in, c_out, wo, dtype)
+            bands, got = run(w_grad)
+            if unpadded_1x1:
+                assert bands == []
+            else:
+                assert [len(r) for r in bands] == [ho * (i + 1) // n - ho * i // n for i in range(n)]
+                assert len(bands) >= 3
+            assert got == want
 
     def test_trainable_weight_gets_one_full_gemm(self, monkeypatch):
-        """A trainable 48->16 conv of a 96 px map: the forward pass runs in bands
-        of 19-20 rows, and the backward pass rebuilds the full columns for one
-        weight-gradient GEMM. out, weight.grad and x.grad keep the bits of the
-        full GEMM."""
+        """A trainable 48->16 conv of a 96x94 map: the forward pass runs in
+        bands of 19-20 rows (an unpadded 1x1 conv in none), and the backward
+        pass rebuilds the full tap rows once for the weight gradient's k
+        GEMMs, to the bits of the np.pad reference."""
         calls = []
-        im2col = ad._im2col
-        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[3]) or im2col(*a))
+        tap_rows = ad._tap_rows
+        monkeypatch.setattr(ad, "_tap_rows",
+                            lambda *a, **kw: calls.append((a[0], a[3])) or tap_rows(*a, **kw))
         for k, pad in self.CASES:
             rng = np.random.default_rng(k * 10 + pad + 3)
             c_in, c_out, h, w = 48, 16, 96, 94
             ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-            row_bytes = c_in * k * k * wo * 4
-            monkeypatch.setattr(ad, "COLUMN_BYTES", 20 * row_bytes + row_bytes // 2)
+            _banded(monkeypatch, 20, k, c_in, c_out, wo, np.float32)
             calls.clear()
             x = Tensor(rng.standard_normal((c_in, h, w)).astype(np.float32), requires_grad=True)
             wgt = Tensor(rng.standard_normal((c_out, c_in, k, k)).astype(np.float32),
                          requires_grad=True)
             out = ad.conv2d(x, ConvParams(weight=wgt, padding=pad))
-            n = -(-ho // 20)
-            assert [len(r) for r in calls] == [ho * (i + 1) // n - ho * i // n for i in range(n)]
-            assert len(calls) >= 3
+            n = 0 if (k, pad) == (1, 0) else -(-ho // 20)
+            assert [len(r) for _, r in calls] == [ho * (i + 1) // n - ho * i // n for i in range(n)]
+            assert n == 0 or n >= 3
             g = rng.standard_normal(out.shape).astype(np.float32)
             ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
-            assert calls[n:] == [range(ho)]
-            col = padded_columns(x.data, k, pad)
-            w2, g2 = wgt.data.reshape(c_out, -1), g.reshape(c_out, -1)
-            assert out.data.tobytes() == (w2 @ col).tobytes()
-            assert wgt.grad.tobytes() == (g2 @ col.T).reshape(wgt.shape).tobytes()
-            dx = ad._col2im(w2.T @ g2, x.data, k, pad, ho, wo)
-            assert x.grad.tobytes() == dx.tobytes()
-
-    @pytest.mark.parametrize("keep_bytes", [1 << 20, 0])
-    def test_small_trainable_columns_are_kept(self, monkeypatch, keep_bytes):
-        """Full columns up to KEEP_COLUMN_BYTES are built once and kept for the
-        weight gradient; over it they are built again, to the same bits."""
-        rng = np.random.default_rng(3)
-        monkeypatch.setattr(ad, "KEEP_COLUMN_BYTES", keep_bytes)
-        calls = []
-        im2col = ad._im2col
-        monkeypatch.setattr(ad, "_im2col", lambda *a: calls.append(a[3]) or im2col(*a))
-        x = Tensor(rng.standard_normal((4, 9, 11)).astype(np.float32), requires_grad=True)
-        wgt = Tensor(rng.standard_normal((6, 4, 3, 3)).astype(np.float32), requires_grad=True)
-        g = rng.standard_normal((6, 9, 11)).astype(np.float32)
-        out = ad.conv2d(x, ConvParams(weight=wgt, padding=1))
-        ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
-        assert calls == [range(9)] * (1 if keep_bytes else 2)
-        col = padded_columns(x.data, 3, 1)
-        assert out.data.tobytes() == (wgt.data.reshape(6, -1) @ col).tobytes()
-        assert wgt.grad.tobytes() == (g.reshape(6, -1) @ col.T).reshape(wgt.shape).tobytes()
+            assert calls[n][0] is x.data and calls[n][1] == range(ho)
+            assert all(a is not x.data for a, _ in calls[n + 1:])  # dx reads g
+            assert wgt.grad.tobytes() == padded_tap_weight_grad(x.data, g, k, pad).tobytes()
 
     def test_trainable_conv_keeps_no_columns(self):
         """Between its forward and backward pass a trainable 48->16 3x3 conv of a
-        96 px map holds its output, not its 16 MB column matrix."""
+        96 px map holds its output, not its 5.4 MB of tap rows."""
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((48, 96, 96)).astype(np.float32), requires_grad=True)
         wgt = Tensor(rng.standard_normal((16, 48, 3, 3)).astype(np.float32), requires_grad=True)
@@ -516,10 +562,13 @@ class TestBackward:
 
 
 def _conv_case(k, pad, c_in=3, c_out=4, size=6):
-    def conv(x, w):
-        return ad.conv2d(x, ConvParams(weight=w, padding=pad))
+    """A conv gradcheck case on a size x size map, or an (H, W) one."""
+    h, w = (size, size) if isinstance(size, int) else size
 
-    return gradcheck.case(conv, ((c_in, size, size), 1.0), ((c_out, c_in, k, k), 1.0))
+    def conv(x, wgt):
+        return ad.conv2d(x, ConvParams(weight=wgt, padding=pad))
+
+    return gradcheck.case(conv, ((c_in, h, w), 1.0), ((c_out, c_in, k, k), 1.0))
 
 
 def _channel_rows(a):
@@ -542,18 +591,22 @@ class TestFiniteDifferences:
         np.testing.assert_allclose(forward().item(), want)
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("k,pad", [(1, 0), (3, 1), (3, 0)],
-                             ids=["1-0-False", "3-1-False", "3-0-False"])  # k-pad-bias; no bias
-    def test_conv2d(self, seed, k, pad):
-        err = gradcheck.check_gradients(_conv_case(k, pad), seed)
+    @pytest.mark.parametrize("k,pad,size", [(1, 0, 6), (3, 1, 6), (3, 0, 6), (3, 2, 6), (3, 1, (5, 8))],
+                             ids=["1-0-False", "3-1-False", "3-0-False",  # k-pad-bias; no bias
+                                  "3-2-False", "3-1-5x8"])
+    def test_conv2d(self, seed, k, pad, size):
+        err = gradcheck.check_gradients(_conv_case(k, pad, size=size), seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("k,pad,c_in,c_out,size", [
         (3, 1, 5, 2, 6),  # "same" 3x3, narrowing
         (1, 0, 5, 2, 6),  # 1x1, narrowing
-        (1, 1, 4, 3, 7),  # 1x1 over a padded border
-    ])
+        (1, 1, 4, 3, 7),  # 1x1 over a padded border; dx crops (pad > k - 1)
+        (3, 2, 3, 4, 6),  # 3x3 over a two-pixel border
+        (3, 3, 2, 3, (3, 5)),  # dx crops (pad > k - 1), non-square
+        (3, 1, 4, 3, (5, 7)),  # "same" 3x3, non-square
+    ], ids=["3-1-5-2-6", "1-0-5-2-6", "1-1-4-3-7", "3-2-3-4-6", "3-3-2-3-3x5", "3-1-4-3-5x7"])
     def test_conv2d_channels(self, seed, k, pad, c_in, c_out, size):
         build = _conv_case(k, pad, c_in=c_in, c_out=c_out, size=size)
         assert gradcheck.check_gradients(build, seed) < 1e-4
