@@ -76,10 +76,17 @@ def record(data, parents, backward):
 
 
 def accumulate(t, g):
-    """Add `g` into t.grad, allocating on first touch."""
+    """Add `g` into t.grad.
+
+    The first gradient is stored as a contiguous copy of `g` in t's dtype:
+    one pass over memory, where zeros plus `+=` took two. It is a copy, so a
+    later `+=` never writes into an array that an op passed on to another
+    parent as well.
+    """
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def backward(loss):
@@ -188,16 +195,6 @@ def cast(a, dtype):
             accumulate(a, g.astype(a.dtype))
 
     return record(a.data.astype(dtype), (a,), bw)
-
-
-def relu(a):
-    mask = a.data > 0
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate(a, g * mask)
-
-    return record(np.where(mask, a.data, a.dtype.type(0)), (a,), bw)
 
 
 def clamp01(a):
@@ -433,10 +430,12 @@ def _tap_rows(x, k, pad, rows, out=None):
     and entry [kx, c, j, q] is x_pad[c, rows.start + j, q + kx], where x_pad
     is x with `pad` zeros on every side: tap column kx of every padded input
     row that the rows' kernels touch. Only the in-map window of each shift
-    is copied into a zeroed buffer, so the padded input is never built; a
-    given `out` must already be zero. A negative `pad` crops the input
-    instead. An unpadded 1x1 conv reads the input's rows themselves, viewed
-    without a copy.
+    is written, so the padded input is never built. A given `out` may hold
+    an earlier band's tap rows: every entry inside the map is overwritten,
+    and only its border, the entries that fall in x_pad's zero padding,
+    must already be zero. A negative `pad` crops the input instead. An
+    unpadded 1x1 conv reads the input's rows themselves, viewed without a
+    copy.
     """
     c, h, w = x.shape
     if k == 1 and pad == 0 and out is None:
@@ -465,37 +464,53 @@ COLUMN_BYTES = 8 << 20
 GEMM_BLOCK = 16
 
 
-def _conv_rows(x, weight, pad):
+def _conv_rows(x, weight, pad, relu=False):
     """Stride-1 cross-correlation of a (C_in, H, W) array with a (C_out, C_in, k, k) one.
 
     Each band of output rows is one GEMM of the (k*C_out, k*C_in) weight,
     ky-major rows by kx-major columns, by the band's `_tap_rows`, padded
-    with zero columns to a multiple of GEMM_BLOCK. That gives k partial
-    maps over the band's rows plus k - 1, and partial ky, shifted up by ky
-    rows, adds into the output. The rows are split evenly into the fewest
-    bands whose tap rows and partial maps fit in `COLUMN_BYTES`. A negative
-    `pad` crops: the gather the transposed conv in conv2d's dx needs when
-    pad > k - 1. An unpadded 1x1 conv copies nothing, so it is not banded:
-    it is one GEMM of the reshaped weight by the input.
+    with columns to a multiple of GEMM_BLOCK. That gives k partial maps over
+    the band's rows plus k - 1, and partial ky, shifted up by ky rows, adds
+    into the output; with `relu` the band is then clamped at 0 in place.
+    The rows are split evenly into the fewest bands whose tap rows and
+    partial maps fit in `COLUMN_BYTES`.
+
+    One zeroed tap buffer, sized for the longest band, serves every band.
+    Its column borders and the rows above the map are never written, so
+    they stay zero; the rows below the map, which only the last bands have
+    and which earlier bands wrote, are zeroed again. The padding columns of
+    a shorter band may hold an earlier band's values: a GEMM's output column
+    reads only its own input column, so they reach only the discarded
+    columns, and the GEMM keeps its whole-block shape.
+
+    A negative `pad` crops: the gather the transposed conv in conv2d's dx
+    needs when pad > k - 1. An unpadded 1x1 conv copies nothing, so it is
+    not banded: it is one GEMM of the reshaped weight by the input.
     """
     c_out, c_in, k, _ = weight.shape
     _, h, w = x.shape
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     if k == 1 and pad == 0:  # every 1x1 conv in the model
-        return (weight.reshape(c_out, c_in) @ x.reshape(c_in, h * w)).reshape(c_out, h, w)
+        out = (weight.reshape(c_out, c_in) @ x.reshape(c_in, h * w)).reshape(c_out, h, w)
+        return np.maximum(out, 0, out=out) if relu else out
     wk = weight.transpose(2, 0, 3, 1).reshape(k * c_out, k * c_in)
     out = np.empty((c_out, ho, wo), dtype=np.result_type(weight, x))
     row_bytes = k * (c_in + c_out) * wo * x.dtype.itemsize
     rows_per_band = max(1, COLUMN_BYTES // row_bytes - (k - 1))
     n = -(-ho // rows_per_band)
+    width = (-(-ho // n) + k - 1) * wo
+    taps = np.zeros((k * c_in, -(-width // GEMM_BLOCK) * GEMM_BLOCK), dtype=x.dtype)
     for i in range(n):
         rows = range(ho * i // n, ho * (i + 1) // n)
         m = len(rows)
         cols = (m + k - 1) * wo
-        taps = np.zeros((k * c_in, -(-cols // GEMM_BLOCK) * GEMM_BLOCK), dtype=x.dtype)
-        _tap_rows(x, k, pad, rows, out=taps[:, :cols].reshape(k, c_in, m + k - 1, wo))
-        part = (wk @ taps)[:, :cols].reshape(k, c_out, m + k - 1, wo)
-        del taps  # before the next band is built
+        band_taps = taps[:, :cols].reshape(k, c_in, m + k - 1, wo)
+        below = rows.stop + k - 1 - pad - h  # tap rows under the map's last row
+        if i and below > 0:
+            band_taps[:, :, -below:] = 0
+        _tap_rows(x, k, pad, rows, out=band_taps)
+        part = (wk @ taps[:, :-(-cols // GEMM_BLOCK) * GEMM_BLOCK])[:, :cols]
+        part = part.reshape(k, c_out, m + k - 1, wo)
         band = out[:, rows.start:rows.stop]
         if k == 1:
             band[...] = part[0]
@@ -504,11 +519,14 @@ def _conv_rows(x, weight, pad):
             for ky in range(2, k):
                 band += part[ky, :, ky:ky + m]
         del part
+        if relu:
+            np.maximum(band, 0, out=band)
     return out
 
 
-def conv2d(x, p):
-    """Stride-1, bias-free 2-d convolution (cross-correlation) of a (C, H, W) map.
+def conv2d(x, p, relu=False):
+    """Stride-1, bias-free 2-d convolution (cross-correlation) of a (C, H, W) map,
+    followed by a ReLU when `relu` is set.
 
     The output is (C_out, H + 2*pad - k + 1, W + 2*pad - k + 1); the model's
     3x3 convs with padding 1 and 1x1 convs without keep the map's size
@@ -519,14 +537,22 @@ def conv2d(x, p):
     rearranged weight by the tap rows gives k partial maps, and partial ky
     adds into the output shifted by ky rows. The rows are split evenly into
     the fewest bands whose tap rows and partial maps fit in `COLUMN_BYTES`,
-    so a conv takes O(band) memory besides its output. Each output element
-    is the same sum of k partial dot products whatever the banding, and it
-    keeps its bits because each band's GEMM is padded to whole blocks of
-    `GEMM_BLOCK` columns, so BLAS sums every column with the same kernel
-    (but OpenBLAS sums GEMMs under about 1e6 multiply-adds with other
-    kernels; TestBandedColumns in tests/test_autodiff.py checks float32 and
-    float64). An unpadded 1x1 conv is one GEMM of the reshaped weight by the
-    input.
+    so a conv takes O(band) memory besides its output, and one tap buffer
+    serves all of a call's bands. Each output element is the same sum of k
+    partial dot products whatever the banding, and it keeps its bits
+    because each band's GEMM is padded to whole blocks of `GEMM_BLOCK`
+    columns, so BLAS sums every column with the same kernel (but OpenBLAS
+    sums GEMMs under about 1e6 multiply-adds with other kernels;
+    TestBandedColumns in tests/test_autodiff.py checks float32 and float64).
+    An unpadded 1x1 conv is one GEMM of the reshaped weight by the input.
+
+    With `relu`, each band is clamped at 0 as soon as it is summed, so the
+    ReLU makes no pass of its own over the whole map and records no node of
+    its own (an elementwise epilogue fused into the op that produces its
+    input, as TVM does; Chen et al. 2018). The result is
+    bitwise `np.maximum(conv, 0)`. The backward pass masks the output
+    gradient by y > 0, the same mask as the pre-activation's, and goes on
+    as for a plain conv.
 
     The backward pass gives dx as the same routine on the output gradient,
     with the weight flipped in both spatial axes and its channel axes
@@ -547,8 +573,11 @@ def conv2d(x, p):
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ContractError(f"conv2d: padded input {h}x{w} (pad {pad}) smaller than kernel {k}")
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    y = _conv_rows(x.data, weight.data, pad, relu)
 
     def bw(g):
+        if relu:
+            g = g * (y > 0)
         if weight.requires_grad:
             taps = _tap_rows(x.data, k, pad, range(ho))
             g2 = g.reshape(c_out, ho * wo)
@@ -562,7 +591,7 @@ def conv2d(x, p):
             flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             accumulate(x, _conv_rows(g, flipped, k - 1 - pad))
 
-    return record(_conv_rows(x.data, weight.data, pad), (x, weight), bw)
+    return record(y, (x, weight), bw)
 
 
 # ---------------------------------------------------------------------------

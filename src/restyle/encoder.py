@@ -75,7 +75,7 @@ def _stage_forward(x, stage, pool):
     if pool:
         x = ad.avgpool2x(x)
     for conv in stage:
-        x = ad.relu(ad.conv2d(x, conv))
+        x = ad.conv2d(x, conv, relu=True)
     return x
 
 

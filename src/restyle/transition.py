@@ -146,6 +146,11 @@ def make_level_params(seed, channels, trainable=True):
     return params.set_trainable(trainable)
 
 
+# Upper bound on the attention's (N, N) affinity, N the deepest map's pixel
+# count. 1 GiB admits a 1024 px image in float32 (N = 128 * 128).
+AFFINITY_BYTES = 1 << 30
+
+
 def nonlocal_block(err4: Tensor, f_in4: Tensor, p: NonLocalParams) -> Tensor:
     """Diffuse the deepest error map across all positions by affinity.
 
@@ -160,10 +165,20 @@ def nonlocal_block(err4: Tensor, f_in4: Tensor, p: NonLocalParams) -> Tensor:
     1/sqrt(C) scale is applied to the (N, C) queries. `softmax_rows` sets
     affinities below the smallest normal float to 0, so the products never
     run on subnormal operands.
+
+    A map whose affinity would take more than `AFFINITY_BYTES` raises
+    `ContractError` before anything is computed, rather than running the
+    machine out of memory.
     """
     if err4.shape != f_in4.shape:
         raise ContractError(f"nonlocal_block: {err4.shape} vs {f_in4.shape}")
     c, h, w = err4.shape
+    n = h * w
+    if n * n * err4.dtype.itemsize > AFFINITY_BYTES:
+        raise ContractError(
+            f"nonlocal_block: a {h}x{w} deepest map needs a {n}x{n} attention affinity of "
+            f"{n * n * err4.dtype.itemsize / 2**30:.2f} GiB, over the "
+            f"{AFFINITY_BYTES / 2**30:g} GiB limit; use a smaller image")
     q = ad.scale(ad.flatten_pixels(ad.conv2d(err4, p.psi_u)), 1.0 / np.sqrt(c))  # (N, C)
     k = ad.reshape(ad.conv2d(f_in4, p.psi_g), (c, h * w))                        # (C, N)
     v = ad.reshape(ad.conv2d(err4, p.psi_h), (c, h * w))                         # (C, N)
@@ -182,7 +197,7 @@ def fused_error(err_i, style_delta_finer, p: PropagationBlockParams):
 
 def block_error(fused, p: PropagationBlockParams):
     """The phi_u site: the refined error at 2x, the next finer block's input."""
-    return ad.relu(ad.conv2d(fused, p.phi_u))
+    return ad.conv2d(fused, p.phi_u, relu=True)
 
 
 def block_residual(fused, d_i, f_in_finer, p: PropagationBlockParams):
@@ -190,7 +205,7 @@ def block_residual(fused, d_i, f_in_finer, p: PropagationBlockParams):
     the upsample, which then carries C_{i-1} channels rather than C_i."""
     merged = ad.concat_channels([ad.upsample_nearest2x(ad.conv2d(d_i, p.phi_v)),
                                  f_in_finer, fused])
-    return ad.relu(ad.conv2d(merged, p.phi_w))
+    return ad.conv2d(merged, p.phi_w, relu=True)
 
 
 def propagation_block(err_i, d_i, f_in_finer, style_delta_finer, p: PropagationBlockParams):

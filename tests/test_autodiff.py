@@ -51,6 +51,12 @@ def conv2d_grads_loops(x, weight, g, pad):
     return dxp[:, pad:pad + h, pad:pad + w], dw
 
 
+def _relu(a):
+    """ReLU of a (C, H, W) map through conv2d's fused clamp, by an identity 1x1 conv."""
+    eye = np.eye(a.shape[0], dtype=a.dtype)[:, :, None, None]
+    return ad.conv2d(a, ConvParams(weight=Tensor(eye)), relu=True)
+
+
 def matmul_loops(a, b):
     m, k = a.shape
     _, n = b.shape
@@ -215,11 +221,14 @@ class TestBandedColumns:
     @pytest.mark.parametrize("k,pad", CASES, ids=IDS)
     @pytest.mark.parametrize("x_grad", [False, True])
     def test_bands_bitwise_equal_full_gemm(self, monkeypatch, dtype, k, pad, x_grad):
-        """A 48->16 conv of a 96x94 map in bands of 19-20 rows: out, x.grad
-        (when x needs one) and weight.grad (when the weight does, and None
-        when it is frozen, as in the encoder) keep the bits of one band.
-        Bands this large keep each GEMM above 1e6 multiply-adds; see conv2d.
-        An unpadded 1x1 conv is one GEMM, with no bands."""
+        """A 48->16 conv of a 96x94 map, plain and with the fused ReLU, in
+        bands of 19-20 rows, in bands of 23-24 rows (equal where 24 divides
+        the rows, so that earlier bands write the rows that lie below the
+        map in the last band) and in one-row bands: out, x.grad (when x
+        needs one) and weight.grad (when the weight does, and None when it
+        is frozen, as in the encoder) keep the bits of one band. Bands this
+        large keep each GEMM above 1e6 multiply-adds; see conv2d. An
+        unpadded 1x1 conv is one GEMM, with no bands."""
         rng = np.random.default_rng(k * 10 + pad)
         c_in, c_out, h, w = 48, 16, 96, 94
         ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
@@ -231,11 +240,11 @@ class TestBandedColumns:
         monkeypatch.setattr(ad, "_tap_rows",
                             lambda *a, **kw: calls.append(a[3]) or tap_rows(*a, **kw))
 
-        def run(w_grad):
+        def run(w_grad, relu):
             calls.clear()
             xt = Tensor(x, requires_grad=x_grad)
             wt = Tensor(wgt, requires_grad=w_grad)
-            out = ad.conv2d(xt, ConvParams(weight=wt, padding=pad))
+            out = ad.conv2d(xt, ConvParams(weight=wt, padding=pad), relu=relu)
             forward_calls = list(calls)
             assert out.requires_grad == (x_grad or w_grad)
             if out.requires_grad:
@@ -243,20 +252,47 @@ class TestBandedColumns:
             assert (xt.grad is not None) == x_grad and (wt.grad is not None) == w_grad
             return forward_calls, [a.tobytes() for a in (out.data, xt.grad, wt.grad) if a is not None]
 
-        n = -(-ho // 20)
         unpadded_1x1 = k == 1 and pad == 0
-        for w_grad in (False, True):
-            monkeypatch.setattr(ad, "COLUMN_BYTES", 1 << 40)
-            one_band, want = run(w_grad)
-            assert one_band == ([] if unpadded_1x1 else [range(ho)])
-            _banded(monkeypatch, 20, k, c_in, c_out, wo, dtype)
-            bands, got = run(w_grad)
-            if unpadded_1x1:
-                assert bands == []
-            else:
-                assert [len(r) for r in bands] == [ho * (i + 1) // n - ho * i // n for i in range(n)]
-                assert len(bands) >= 3
-            assert got == want
+        for relu in (False, True):
+            for w_grad in (False, True):
+                monkeypatch.setattr(ad, "COLUMN_BYTES", 1 << 40)
+                one_band, want = run(w_grad, relu)
+                assert one_band == ([] if unpadded_1x1 else [range(ho)])
+                for rows in (20, 24, 1):
+                    _banded(monkeypatch, rows, k, c_in, c_out, wo, dtype)
+                    bands, got = run(w_grad, relu)
+                    if unpadded_1x1:
+                        assert bands == []
+                    else:
+                        n = -(-ho // rows)
+                        assert [len(r) for r in bands] == [ho * (i + 1) // n - ho * i // n
+                                                           for i in range(n)]
+                        assert len(bands) >= 3
+                    assert got == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,pad", CASES, ids=IDS)
+    def test_relu_is_bitwise_max_of_conv(self, dtype, k, pad):
+        """conv2d(relu=True) is np.maximum(conv2d, 0) byte for byte, and its x
+        and weight gradients are the plain conv's for the output gradient
+        masked by y > 0; (1, 1) takes dx's crop (pad > k - 1)."""
+        rng = np.random.default_rng(k * 10 + pad + 7)
+        x = rng.standard_normal((4, 9, 7)).astype(dtype)
+        wgt = rng.standard_normal((5, 4, k, k)).astype(dtype)
+        g = rng.standard_normal((5, 9 + 2 * pad - k + 1, 7 + 2 * pad - k + 1)).astype(dtype)
+
+        def run(relu, g):
+            xt, wt = Tensor(x, requires_grad=True), Tensor(wgt, requires_grad=True)
+            out = ad.conv2d(xt, ConvParams(weight=wt, padding=pad), relu=relu)
+            ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+            return out.data, xt.grad, wt.grad
+
+        plain, _, _ = run(False, g)
+        fused, dx, dw = run(True, g)
+        assert fused.dtype == dtype
+        assert fused.tobytes() == np.maximum(plain, 0).tobytes()
+        _, dx_want, dw_want = run(False, g * (plain > 0))
+        assert dx.tobytes() == dx_want.tobytes() and dw.tobytes() == dw_want.tobytes()
 
     def test_trainable_weight_gets_one_full_gemm(self, monkeypatch):
         """A trainable 48->16 conv of a 96x94 map: the forward pass runs in
@@ -319,8 +355,8 @@ class TestBandedColumns:
 
 class TestElementwiseAndSpatial:
     def test_relu(self):
-        out = ad.relu(Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+        out = _relu(Tensor([[[-1.0, 0.0, 2.0]]]))
+        np.testing.assert_array_equal(out.data, [[[0.0, 0.0, 2.0]]])
 
     def test_pool_then_upsample_constant(self):
         x = Tensor(np.full((3, 4, 4), 0.7))
@@ -553,20 +589,33 @@ class TestBackward:
     def test_non_scalar_loss_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ContractError):
-            ad.backward(ad.relu(x))
+            ad.backward(ad.scale(x, 2.0))
 
     def test_untracked_graph_records_nothing(self):
-        x = Tensor(np.ones((2, 2)))
-        out = ad.relu(ad.add(x, x))
+        x = Tensor(np.ones((1, 2, 2)))
+        out = _relu(ad.add(x, x))
         assert out._backward is None and out._parents == ()
 
+    def test_first_gradient_is_a_copy(self):
+        """The first gradient into a tensor is a contiguous copy in its dtype:
+        changing the array passed in afterwards leaves t.grad as it was."""
+        t = Tensor(np.zeros((3, 2), dtype=np.float32), requires_grad=True)
+        g = np.arange(6.0).reshape(2, 3).T
+        ad.accumulate(t, g)
+        g[:] = -1.0
+        assert t.grad.dtype == np.float32 and t.grad.flags.c_contiguous
+        np.testing.assert_array_equal(t.grad, np.arange(6.0).reshape(2, 3).T)
+        ad.accumulate(t, g)
+        np.testing.assert_array_equal(t.grad, np.arange(6.0).reshape(2, 3).T - 1.0)
+        np.testing.assert_array_equal(g, np.full((3, 2), -1.0))
 
-def _conv_case(k, pad, c_in=3, c_out=4, size=6):
+
+def _conv_case(k, pad, c_in=3, c_out=4, size=6, relu=False):
     """A conv gradcheck case on a size x size map, or an (H, W) one."""
     h, w = (size, size) if isinstance(size, int) else size
 
     def conv(x, wgt):
-        return ad.conv2d(x, ConvParams(weight=wgt, padding=pad))
+        return ad.conv2d(x, ConvParams(weight=wgt, padding=pad), relu=relu)
 
     return gradcheck.case(conv, ((c_in, h, w), 1.0), ((c_out, c_in, k, k), 1.0))
 
@@ -591,11 +640,13 @@ class TestFiniteDifferences:
         np.testing.assert_allclose(forward().item(), want)
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("k,pad,size", [(1, 0, 6), (3, 1, 6), (3, 0, 6), (3, 2, 6), (3, 1, (5, 8))],
-                             ids=["1-0-False", "3-1-False", "3-0-False",  # k-pad-bias; no bias
-                                  "3-2-False", "3-1-5x8"])
-    def test_conv2d(self, seed, k, pad, size):
-        err = gradcheck.check_gradients(_conv_case(k, pad, size=size), seed)
+    @pytest.mark.parametrize("k,pad,size,relu", [
+        (1, 0, 6, False), (3, 1, 6, False), (3, 0, 6, False), (3, 2, 6, False),
+        (3, 1, (5, 8), False), (3, 1, (5, 8), True)],
+        ids=["1-0-False", "3-1-False", "3-0-False",  # k-pad-bias; no bias
+             "3-2-False", "3-1-5x8", "3-1-5x8-relu"])
+    def test_conv2d(self, seed, k, pad, size, relu):
+        err = gradcheck.check_gradients(_conv_case(k, pad, size=size, relu=relu), seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
@@ -618,7 +669,7 @@ class TestFiniteDifferences:
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("name,op,shape", [
-        ("relu", ad.relu, (3, 4, 4)),
+        ("relu", _relu, (3, 4, 4)),
         ("avgpool2x", ad.avgpool2x, (2, 4, 6)),
         ("upsample2x", ad.upsample_nearest2x, (2, 3, 3)),
         ("softmax_rows", ad.softmax_rows, (4, 6)),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from restyle import autodiff, checkpoint, encoder, gradcheck, trainer
+from restyle import autodiff, checkpoint, encoder, gradcheck, trainer, transition
 from restyle.cli import main
 from restyle.corpus import CorpusSpec, make_test_pairs
 from restyle.images import load_ppm, save_ppm
@@ -197,6 +197,19 @@ class TestStylizeCommand:
                    "--model", str(tmp / "model"), "--out", str(tmp / "o.ppm")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_image_too_large_for_attention_exits_2(self, tmp_path, trained, monkeypatch,
+                                                   capsys):
+        """An image whose attention would not fit transition.AFFINITY_BYTES exits 2
+        with an input error, not a MemoryError traceback."""
+        monkeypatch.setattr(transition, "AFFINITY_BYTES", 0)
+        rc = main(["stylize", "--content", str(trained / "content"),
+                   "--style", str(trained / "style"), "--model", str(trained / "model"),
+                   "--out", str(tmp_path / "o.ppm")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: nonlocal_block:") and "Traceback" not in err
+        assert not (tmp_path / "o.ppm").exists()
 
     def test_bad_image_exits_2(self, tmp_path, trained, capsys):
         tmp, model = tmp_path, str(trained / "model")

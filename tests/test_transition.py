@@ -1,10 +1,12 @@
 """Decoder tests: attention oracle, propagation cascade, residual contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from restyle import autodiff as ad
-from restyle import gradcheck
+from restyle import gradcheck, transition
 from restyle.autodiff import ConvParams, Tensor, load_state
 from restyle.encoder import ErrorBundle, encode, make_encoder, pair_errors
 from restyle.errors import ContractError
@@ -136,6 +138,37 @@ class TestNonLocalBlock:
         with pytest.raises(ContractError):
             nonlocal_block(Tensor(np.zeros((4, 3, 3))), Tensor(np.zeros((4, 2, 3))), p)
 
+    def test_oversized_map_raises_before_attention(self):
+        """A 132x132 deepest map, that of a 1056 px image, needs a 1.13 GiB
+        float32 affinity: ContractError, before anything of that size exists."""
+        p = make_nonlocal(np.random.default_rng(12), 1)
+        err = Tensor(np.ones((1, 132, 132), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractError, match="132x132"):
+                nonlocal_block(err, err, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_affinity_limit_admits_its_own_size(self, monkeypatch):
+        """The limit is inclusive and counts the dtype's bytes: with room for a
+        16x16 float32 affinity, a 4x4 float32 map runs; a 4x5 one and a 4x4
+        float64 one raise."""
+        monkeypatch.setattr(transition, "AFFINITY_BYTES", 16 * 16 * 4)
+        rng = np.random.default_rng(13)
+        p = make_nonlocal(rng, 2)
+        x = rng.standard_normal((2, 4, 4)).astype(np.float32)
+        assert nonlocal_block(Tensor(x), Tensor(x), p).shape == (2, 4, 4)
+        with pytest.raises(ContractError):
+            nonlocal_block(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((2, 4, 5))), p)
+        with pytest.raises(ContractError):
+            nonlocal_block(Tensor(x, dtype=np.float64), Tensor(x, dtype=np.float64), p)
+
+    def test_limit_admits_1024_px_float32(self):
+        assert (128 * 128) ** 2 * 4 <= transition.AFFINITY_BYTES < (132 * 132) ** 2 * 4
+
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients(self, seed):
         # the standard suite's case: three 1x1 weights, then error and features
@@ -232,7 +265,7 @@ class TestPropagationBlock:
         merged = ad.concat_channels([
             ad.conv2d(Tensor(np.zeros((6, 6, 6), dtype=np.float32)), p.phi_v),
             f_in, Tensor(np.zeros((4, 6, 6), dtype=np.float32))])
-        want = ad.relu(ad.conv2d(merged, p.phi_w)).data
+        want = np.maximum(ad.conv2d(merged, p.phi_w).data, 0)
         np.testing.assert_array_equal(d_out.data, want)
 
     def test_spatial_contract_doubles(self):
