@@ -1,10 +1,13 @@
 """Coarse-to-fine stylization over an image pyramid, plus runtime knobs.
 
-The coarsest level starts from `start_estimate` (all zeros), the one place
-the initial estimate is chosen: stylization, training's frozen prefix and
-level calibration all call it. Each level's transition network predicts a
+`walk` is the one coarse-to-fine loop, so the one place the estimate moves
+between levels: it takes an estimate and one (params, content, style) step
+per level, coarsest first, runs `refine_level` at each level and upsamples
+the estimate between levels. `stylize`, `refine_external` and training's
+frozen prefix all call it. Each level's transition network predicts a
 signed residual which is added to the running estimate and clamped back to
-[0,1]; the result is upsampled and handed to the next finer level.
+[0,1]. The coarsest level starts from `start_estimate` (all zeros), the one
+place the initial estimate is chosen; level calibration calls it too.
 """
 
 from __future__ import annotations
@@ -41,9 +44,8 @@ def refine_level(icing, content, style, params: LevelParams, enc: Encoder,
                  alpha: float | None = None) -> np.ndarray:
     """One refinement: clamp(estimate + residual) at a single level.
 
-    `content` and `style` are images at the estimate's resolution, or their
-    encoded targets as `encoder.pair_errors` takes them (training's frozen
-    prefix passes the ones its target cache holds).
+    `content` and `style` are images at the estimate's resolution, or encoded
+    targets as `etnet_forward` takes them (training's walk passes its cached ones).
     """
     shapes = [x.shape for x in (icing, content, style) if isinstance(x, np.ndarray)]
     if any(shape != icing.shape for shape in shapes):
@@ -57,17 +59,32 @@ def start_estimate(coarsest_content):
     return np.zeros_like(coarsest_content)
 
 
-def _walk(icing, pairs, start, model: PyramidModel, alpha=None) -> StylizeResult:
-    """Refine from pairs[start] to the finest level, upsampling between levels."""
-    k = model.depth
-    intermediates = []
-    for idx in range(start, k):
-        c_k, s_k = pairs[idx]
-        out = refine_level(icing, c_k, s_k, model.levels[k - idx - 1], model.encoder, alpha)
-        intermediates.append(out)
-        if idx + 1 < k:
-            icing = upsample(out)
-    return StylizeResult(final=intermediates[-1], intermediates=intermediates)
+def walk(icing, steps, enc: Encoder, alpha: float | None = None) -> list[np.ndarray]:
+    """Refine `icing` by each (params, content, style) step of `refine_level`,
+    coarsest level first, upsampling between levels; returns each level's output."""
+    outputs = []
+    for params, content, style in steps:
+        if outputs:
+            icing = upsample(outputs[-1])
+        outputs.append(refine_level(icing, content, style, params, enc, alpha))
+    return outputs
+
+
+def _level_pairs(name, content, style, level):
+    """`build_level_inputs` for a walk from `level`, after checking that the sides
+    divide by 8 * 2^(level-1), as encoding the coarsest level needs."""
+    h, w = content.shape[0], content.shape[1]
+    need = 8 * 2 ** (level - 1)
+    if h % need or w % need:
+        raise ContractError(f"{name}: dimensions {h}x{w} must be divisible by {need}")
+    return build_level_inputs(content, style, levels=level)
+
+
+def _walk_pairs(icing, pairs, model: PyramidModel, alpha=None) -> StylizeResult:
+    """`walk` from level len(pairs) to 1 over per-level (content, style) pairs."""
+    steps = [(p, c, s) for p, (c, s) in zip(reversed(model.levels[:len(pairs)]), pairs)]
+    outputs = walk(icing, steps, model.encoder, alpha)
+    return StylizeResult(final=outputs[-1], intermediates=outputs)
 
 
 def stylize(content, style, model: PyramidModel, alpha: float | None = None) -> StylizeResult:
@@ -77,13 +94,8 @@ def stylize(content, style, model: PyramidModel, alpha: float | None = None) -> 
     """
     if alpha is not None and not 0.0 <= alpha <= 1.0:
         raise ContractError(f"stylize: alpha {alpha} outside [0, 1]")
-    k = model.depth
-    h, w = content.shape[0], content.shape[1]
-    need = 8 * 2 ** (k - 1)
-    if h % need or w % need:
-        raise ContractError(f"stylize: dimensions {h}x{w} must be divisible by {need}")
-    pairs = build_level_inputs(content, style, levels=k)
-    return _walk(start_estimate(pairs[0][0]), pairs, 0, model, alpha)
+    pairs = _level_pairs("stylize", content, style, model.depth)
+    return _walk_pairs(start_estimate(pairs[0][0]), pairs, model, alpha)
 
 
 def stylize_alpha(content, style, model: PyramidModel, alpha: float) -> StylizeResult:
@@ -96,9 +108,9 @@ def refine_external(external, content, style, model: PyramidModel, level: int) -
     k = model.depth
     if not 1 <= level <= k:
         raise ContractError(f"refine_external: level {level} outside 1..{k}")
-    pairs = build_level_inputs(content, style, levels=k)
-    want = pairs[k - level][0].shape
+    pairs = _level_pairs("refine_external", content, style, level)
+    want = pairs[0][0].shape
     if external.shape != want:
         raise ContractError(f"refine_external: input shape {external.shape}, "
                             f"level {level} needs {want}")
-    return _walk(external, pairs, k - level, model)
+    return _walk_pairs(external, pairs, model)

@@ -1,15 +1,15 @@
 """Losses, per-level training loops, evaluation, and model persistence.
 
-Levels are trained independently, coarsest first: the frozen coarser levels
-supply each sample's starting estimate, and gradients flow only into the
-level under training. All loss norms are mean-squared so the weight schedule
-transfers across resolutions. A zero-pair regularizer drives the decoder to
-emit a zero residual when content, style, and estimate coincide, which the
-feature branch of the architecture does not guarantee by itself.
+Levels are trained independently, coarsest first: `stylizer.walk` through
+the frozen coarser levels gives each sample's starting estimate. Gradients
+reach only the level under training, and all loss norms are mean-squared so
+the weight schedule transfers across resolutions. A zero-pair regularizer
+drives the decoder to emit a zero residual when content, style, and estimate
+coincide, which the feature branch of the architecture does not guarantee.
 
 A level starts from seeded draws that `transition.calibrate` rescales on
-`probe_cases`. Training and evaluation take their content and style terms
-from `level_terms`.
+`probe_cases`. The objective's residual is `etnet_forward`'s. Training,
+evaluation, `content_loss` and `style_loss` all score through `level_terms`.
 
 Training takes its losses on `recovering_clamp01(estimate + residual)`, not
 on `ad.clamp01`: the value is the same clamp, but a pixel outside [0, 1]
@@ -54,11 +54,12 @@ from .autodiff import Tensor
 from .config import RunConfig, format_config, load_config, read_text
 from .corpus import CorpusSpec, make_corpus
 from .encoder import Encoder, ErrorBundle, FeatureStack, _as_image_tensor, encode, \
-    encoder_layout, errors_between, gram_stack, make_encoder, pair_errors
+    encoder_layout, gram_stack, make_encoder, pair_errors
 from .errors import CheckpointError, ConfigError, ContractError, TrainingDiverged
 from .images import pyramid, upsample
-from .stylizer import PyramidModel, refine_level, start_estimate, stylize
-from .transition import LevelParams, calibrate, level_layout, make_level_params, run_decoder
+from .stylizer import PyramidModel, start_estimate, stylize, walk
+from .transition import LevelParams, calibrate, etnet_forward, level_layout, make_level_params, \
+    run_decoder
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +94,6 @@ def _stack_chain(img_t, count, enc):
     return stacks
 
 
-def _content_terms(stacks, targets):
-    return [_msq(stack.stages[-1], tgt) for stack, tgt in zip(stacks, targets)]
-
-
-def _style_terms(stacks, gram_targets, deep_targets):
-    terms = [_msq(ad.gram(f), tg) for f, tg in zip(stacks[0].stages, gram_targets)]
-    for stack, tg in zip(stacks[1:], deep_targets):
-        terms.append(_msq(ad.gram(stack.stages[-1]), tg))
-    return terms
-
-
 def _sum(terms):
     total = terms[0]
     for t in terms[1:]:
@@ -111,35 +101,29 @@ def _sum(terms):
     return total
 
 
+def _image_term(name, stylized, target, level, depth, enc, half):
+    """One half (0 content, 1 style) of `level_terms` against `target` in both roles."""
+    cs = _as_image_tensor(stylized)
+    t = _as_image_tensor(target)
+    if cs.shape != t.shape:
+        raise ContractError(f"{name}: {cs.shape} vs {t.shape}")
+    return level_terms(cs, image_targets(t, t, depth - level + 1, enc), enc)[half]
+
+
 def content_loss(stylized, content, level, depth, enc: Encoder):
     """Deep-feature distance at this level plus all coarser-level terms.
 
     Both images are at level-`level` resolution; for each coarser level j the
-    pair is downsampled j-level more times and compared again.
+    pair is downsampled j-level more times and compared again. This is the
+    content half of `level_terms`.
     """
-    cs = _as_image_tensor(stylized)
-    c = _as_image_tensor(content)
-    if cs.shape != c.shape:
-        raise ContractError(f"content_loss: {cs.shape} vs {c.shape}")
-    count = depth - level + 1
-    stacks = _stack_chain(cs, count, enc)
-    targets = [s.stages[-1] for s in _stack_chain(c, count, enc)]
-    return _sum(_content_terms(stacks, targets))
+    return _image_term("content_loss", stylized, content, level, depth, enc, 0)
 
 
 def style_loss(stylized, style, level, depth, enc: Encoder):
     """Gram distances at every stage, plus deepest-stage terms after each
-    further downsampling to coarser levels."""
-    cs = _as_image_tensor(stylized)
-    s = _as_image_tensor(style)
-    if cs.shape != s.shape:
-        raise ContractError(f"style_loss: {cs.shape} vs {s.shape}")
-    count = depth - level + 1
-    stacks = _stack_chain(cs, count, enc)
-    target_stacks = _stack_chain(s, count, enc)
-    gram_targets = gram_stack(target_stacks[0])
-    deep_targets = [ad.gram(st.stages[-1]) for st in target_stacks[1:]]
-    return _sum(_style_terms(stacks, gram_targets, deep_targets))
+    further downsampling to coarser levels: the style half of `level_terms`."""
+    return _image_term("style_loss", stylized, style, level, depth, enc, 1)
 
 
 def recovering_clamp01(a):
@@ -227,8 +211,11 @@ def level_terms(stylized, targets: LevelTargets, enc):
     """(l_pc, l_ps) of a stylized (3, H, W) image: the content and style terms
     of this level and of every coarser one that `targets` covers."""
     stacks = _stack_chain(stylized, len(targets.content_deep), enc)
-    return (_sum(_content_terms(stacks, targets.content_deep)),
-            _sum(_style_terms(stacks, targets.style_grams, targets.style_deep_grams)))
+    content = [_msq(stack.stages[-1], tg) for stack, tg in zip(stacks, targets.content_deep)]
+    style = [_msq(ad.gram(f), tg) for f, tg in zip(stacks[0].stages, targets.style_grams)]
+    style += [_msq(ad.gram(stack.stages[-1]), tg)
+              for stack, tg in zip(stacks[1:], targets.style_deep_grams)]
+    return _sum(content), _sum(style)
 
 
 def level_objective(stylized, targets: LevelTargets, level, enc, weights: LossWeights,
@@ -258,9 +245,7 @@ def sample_objective(icing_t, targets: LevelTargets, params: LevelParams, enc, l
     """The training objective of one sample: the level's network refines the
     estimate `icing_t`, its losses are taken on the recovering clamp, and the
     zero-pair term asks for a zero residual on the content's own features."""
-    f_in = encode(icing_t, enc)
-    bundle = errors_between(targets.content_deep[0], targets.style_grams, f_in)
-    residual, _ = run_decoder(bundle, f_in, params)
+    residual = etnet_forward(targets.content_stack, targets.style_grams, icing_t, params, enc)
     stylized = recovering_clamp01(ad.add(icing_t, residual))
     zero_res, _ = run_decoder(_zero_bundle(targets.content_stack), targets.content_stack, params)
     return level_objective(stylized, targets, level, enc, weights, zero_residual=zero_res)
@@ -532,12 +517,13 @@ def _train_sample(cfg, level, enc, frozen, params, cache, weights, c_key, s_key)
     c_feats = [cache.features(*c_key, j) for j in levels]
     s_feats = [cache.features(*s_key, j) for j in levels]
 
-    # frozen coarse-to-fine prefix supplies this level's starting estimate,
-    # refined toward the cached targets
+    # the frozen coarser levels run stylize's own walk, toward the cached targets,
+    # so this level trains on the estimate stylization hands it
     icing = start_estimate(cache.level_images(*c_key)[depth - 1])
-    for j in range(depth, level, -1):
-        (c_stack, _), (_, s_grams) = c_feats[j - level], s_feats[j - level]
-        icing = upsample(refine_level(icing, c_stack, s_grams, frozen[j], enc))
+    prefix = walk(icing, [(frozen[j], c_feats[j - level][0], s_feats[j - level][1])
+                          for j in range(depth, level, -1)], enc)
+    if prefix:
+        icing = upsample(prefix[-1])
 
     targets = level_targets(c_feats, s_feats)
     total, l_pc, l_ps, l_tv = sample_objective(_as_image_tensor(icing), targets, params, enc,

@@ -266,14 +266,15 @@ def calibrate(params: LevelParams, cases):
                    target=RESIDUAL_INIT_RMS)
 
 
-def etnet_forward(content_img, style_img, current_img, params: LevelParams,
+def etnet_forward(content, style, current, params: LevelParams,
                   enc: Encoder, alpha: float | None = None) -> Tensor:
-    """Full transition network: images in, signed (3, H, W) residual out.
+    """The one level forward: signed (3, H, W) residual out.
 
-    The current stylization is encoded once; its features serve both the
-    error computation and the decoder input. `alpha` mixes the errors for the
-    runtime style-strength trade-off (see `encoder.pair_errors`).
+    `content` and `style` are images or encoded targets, as `encoder.pair_errors`
+    takes them. The current stylization is encoded once; its features serve
+    both the error computation and the decoder input. `alpha` mixes the errors
+    for the runtime style-strength trade-off (see `encoder.pair_errors`).
     """
-    bundle, f_in = pair_errors(content_img, style_img, current_img, enc, alpha)
+    bundle, f_in = pair_errors(content, style, current, enc, alpha)
     residual, _ = run_decoder(bundle, f_in, params)
     return residual

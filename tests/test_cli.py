@@ -285,6 +285,17 @@ class TestRefineAndEval:
         assert rc == 0
         assert read_image(tmp / "r.ppm").shape == (32, 32, 3)
 
+    def test_stylize_and_refine_leave_stdout_empty(self, tmp_path, trained, capfd):
+        """Both commands write only their output file, nothing to fd 1, so a
+        caller's own last stdout line (perfbench/run.py's result) stays last."""
+        images = ["--content", str(trained / "content"), "--style", str(trained / "style"),
+                  "--model", str(trained / "model")]
+        assert main(["stylize", *images, "--out", str(tmp_path / "a.ppm")]) == 0
+        assert main(["refine", "--input", str(trained / "input"), *images, "--level", "1",
+                     "--out", str(tmp_path / "b.ppm")]) == 0
+        assert capfd.readouterr().out == ""
+        assert (tmp_path / "a.ppm").exists() and (tmp_path / "b.ppm").exists()
+
     def test_eval_table_shape(self, tmp_path, trained):
         tmp, model = tmp_path, str(trained / "model")
         pairs = make_test_pairs(CorpusSpec(seed=4, size=32, content_count=2, style_count=2), 2)

@@ -178,6 +178,17 @@ class TestRefineExternal:
         with pytest.raises(ContractError):
             refine_external(rand_img(27, 48), rand_img(28), rand_img(29), model, level=1)
 
+    @pytest.mark.parametrize("level, size", [(1, 12), (2, 24)])
+    def test_size_checked_up_front(self, model, level, size):
+        """A pair too small for the encoder at `level` fails in refine_external
+        itself, by the rule stylize applies at the coarsest level."""
+        two_levels = PyramidModel(encoder=model.encoder, levels=model.levels[:2])
+        img = rand_img(33, size)
+        with pytest.raises(ContractError, match=rf"^refine_external: dimensions {size}x{size} "
+                                                rf"must be divisible by {8 * 2 ** (level - 1)}$"):
+            refine_external(img[::2 ** (level - 1), ::2 ** (level - 1)], img, img, two_levels,
+                            level)
+
     def test_bad_level_raises(self, model):
         with pytest.raises(ContractError):
             refine_external(rand_img(30, 96), rand_img(31), rand_img(32), model, level=4)

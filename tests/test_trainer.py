@@ -18,7 +18,7 @@ from restyle.encoder import encode, gram_stack, make_encoder
 from restyle.errors import CheckpointError, ConfigError, ContractError, TrainingDiverged
 from restyle.images import downsample, to_chw, upsample
 from restyle.stylizer import PyramidModel, start_estimate, stylize
-from restyle import trainer
+from restyle import stylizer, trainer
 from restyle.trainer import (Adam, LossWeights, TargetCache, TrainResult, combine_losses,
                              content_loss, cosine_lr, evaluate, full_resolution_losses,
                              image_targets, init_level_params, level_objective, probe_cases,
@@ -428,23 +428,31 @@ def test_evaluate_encodes_targets_once_per_pair(enc, monkeypatch):
 
 
 def test_frozen_prefix_uses_cached_targets(enc, monkeypatch):
-    """The prefix refines toward the cache's encodings of the pair's images, to
-    the bits of refining toward the images themselves."""
-    cfg = tiny_config()
-    contents, styles = make_corpus(CorpusSpec(seed=cfg.seed, size=cfg.image_size,
-                                              content_count=cfg.content_count,
-                                              style_count=cfg.style_count))
-    frozen = {2: init_level_params(cfg, 2, enc, contents, styles).set_trainable(False)}
-    cache = TargetCache(enc, cfg.levels, contents, styles)
-    outputs = []
-    refine = trainer.refine_level
-    monkeypatch.setattr(trainer, "refine_level",
-                        lambda *a: outputs.append(refine(*a)) or outputs[-1])
-    trainer._train_sample(cfg, 1, enc, frozen, init_level_params(cfg, 1, enc, contents, styles),
-                          cache, LossWeights.from_config(cfg), ("c", 1), ("s", 0))
-    c2, s2 = cache.level_images("c", 1)[1], cache.level_images("s", 0)[1]
-    want = refine(start_estimate(c2), c2, s2, frozen[2], enc)
-    assert len(outputs) == 1 and outputs[0].tobytes() == want.tobytes()
+    """The prefix is the stylizer's walk toward the cache's encodings of the
+    pair's images: its refinements are, bit for bit, `stylize`'s intermediates
+    from the images themselves, over frozen level 2 of a 2-level config and
+    over frozen levels 3 and 2 of a 3-level one."""
+    for levels in (2, 3):
+        cfg = tiny_config(levels=levels, lambda_ps=(1.0, 5.0, 8.0)[:levels])
+        contents, styles = make_corpus(CorpusSpec(seed=cfg.seed, size=cfg.image_size,
+                                                  content_count=cfg.content_count,
+                                                  style_count=cfg.style_count))
+        params = init_level_params(cfg, 1, enc, contents, styles)
+        frozen = {j: init_level_params(cfg, j, enc, contents, styles).set_trainable(False)
+                  for j in range(2, levels + 1)}
+        cache = TargetCache(enc, cfg.levels, contents, styles)
+        outputs = []
+        refine = stylizer.refine_level
+        monkeypatch.setattr(stylizer, "refine_level",
+                            lambda *a: outputs.append(refine(*a)) or outputs[-1])
+        trainer._train_sample(cfg, 1, enc, frozen, params, cache, LossWeights.from_config(cfg),
+                              ("c", 1), ("s", 0))
+        monkeypatch.undo()
+        model = PyramidModel(encoder=enc, levels=[params, *(frozen[j] for j in frozen)])
+        want = stylize(cache.level_images("c", 1)[0], cache.level_images("s", 0)[0],
+                       model).intermediates[:levels - 1]
+        assert len(outputs) == levels - 1
+        assert [o.tobytes() for o in outputs] == [w.tobytes() for w in want]
 
 
 def sequential_training(cfg, level, enc, frozen, contents, styles):
