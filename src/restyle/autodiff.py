@@ -15,6 +15,7 @@ so purely inference-side computation carries no bookkeeping cost.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -408,6 +409,9 @@ class ConvParams:
     Every conv is stride 1 and bias-free: the model changes scale only by
     `avgpool2x` and `upsample_nearest2x` between stages, and a bias-free
     error path is exactly zero on a zero error bundle (see `transition`).
+
+    To change a weight, replace `weight.data`, as `Adam.step` does: once a
+    conv has used a 3x3 weight array, the array is read-only (see `conv2d`).
     """
 
     weight: Tensor
@@ -464,16 +468,52 @@ COLUMN_BYTES = 8 << 20
 GEMM_BLOCK = 16
 
 
-def _conv_rows(x, weight, pad, relu=False):
-    """Stride-1 cross-correlation of a (C_in, H, W) array with a (C_out, C_in, k, k) one.
+# The GEMM layouts of each 3x3 weight array that a conv has used, keyed by
+# id(array): {False: forward layout, True: flipped dx layout}.
+_LAYOUTS = {}
 
-    Each band of output rows is one GEMM of the (k*C_out, k*C_in) weight,
-    ky-major rows by kx-major columns, by the band's `_tap_rows`, padded
-    with columns to a multiple of GEMM_BLOCK. That gives k partial maps over
-    the band's rows plus k - 1, and partial ky, shifted up by ky rows, adds
-    into the output; with `relu` the band is then clamped at 0 in place.
-    The rows are split evenly into the fewest bands whose tap rows and
-    partial maps fit in `COLUMN_BYTES`.
+
+def _weight_rows(weight, flip):
+    """The (k*C_out, k*C_in) GEMM layout of a (C_out, C_in, k, k) weight, ky-major
+    rows by kx-major columns; with `flip`, of the weight flipped in both spatial
+    axes with its channel axes swapped, the weight of conv2d's dx."""
+    if flip:
+        weight = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    c_out, c_in, k, _ = weight.shape
+    return weight.transpose(2, 0, 3, 1).reshape(k * c_out, k * c_in)
+
+
+def _layout(weight, flip):
+    """`_weight_rows(weight, flip)`, built once per 3x3 weight array.
+
+    The first layout makes the array read-only, so an in-place write raises
+    ValueError rather than leaving a stale layout; an array that dies takes
+    its entry with it, so a reused id finds none. Two threads may both build
+    a missing layout: they build the same bits, and the later store wins.
+    """
+    entry = _LAYOUTS.get(id(weight))
+    if entry is None:
+        weight.flags.writeable = False
+        entry = _LAYOUTS.setdefault(id(weight), {})
+        weakref.finalize(weight, _LAYOUTS.pop, id(weight), None)
+    rows = entry.get(flip)
+    if rows is None:
+        rows = entry[flip] = _weight_rows(weight, flip)
+    return rows
+
+
+def _conv_rows(x, weight, pad, relu=False, flip=False):
+    """Stride-1 cross-correlation of a (C_in, H, W) array with a (C_out, C_in, k, k) one,
+    or with `flip` with the flipped weight of conv2d's dx (see `_weight_rows`).
+
+    Each band of output rows is one GEMM of the weight's (k*C_out, k*C_in)
+    layout by the band's `_tap_rows`, padded with columns to a multiple of
+    GEMM_BLOCK. That gives k partial maps over the band's rows plus k - 1,
+    and partial ky, shifted up by ky rows, adds into the output; with `relu`
+    the band is then clamped at 0 in place. The rows are split evenly into
+    the fewest bands whose tap rows and partial maps fit in `COLUMN_BYTES`.
+    A 3x3 weight's layouts come from `_layout`, built once per weight array,
+    which they make read-only; a 1x1 layout is a view of the weight.
 
     One zeroed tap buffer, sized for the longest band, serves every band.
     Its column borders and the rows above the map are never written, so
@@ -488,12 +528,14 @@ def _conv_rows(x, weight, pad, relu=False):
     not banded: it is one GEMM of the reshaped weight by the input.
     """
     c_out, c_in, k, _ = weight.shape
+    if flip:
+        c_out, c_in = c_in, c_out
     _, h, w = x.shape
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    wk = _layout(weight, flip) if k == 3 else _weight_rows(weight, flip)
     if k == 1 and pad == 0:  # every 1x1 conv in the model
-        out = (weight.reshape(c_out, c_in) @ x.reshape(c_in, h * w)).reshape(c_out, h, w)
+        out = (wk @ x.reshape(c_in, h * w)).reshape(c_out, h, w)
         return np.maximum(out, 0, out=out) if relu else out
-    wk = weight.transpose(2, 0, 3, 1).reshape(k * c_out, k * c_in)
     out = np.empty((c_out, ho, wo), dtype=np.result_type(weight, x))
     row_bytes = k * (c_in + c_out) * wo * x.dtype.itemsize
     rows_per_band = max(1, COLUMN_BYTES // row_bytes - (k - 1))
@@ -562,7 +604,15 @@ def conv2d(x, p, relu=False):
     the full tap rows, one per ky, shifted down by ky rows. The backward pass
     rebuilds those tap rows rather than keeping them from the forward pass
     (recomputation for memory, as in gradient checkpointing): they are k
-    times the size of the input, and gone before dx is built.
+    times the size of the input, and gone before dx is built. dW takes one
+    strided copy into the (C_out, C_in, k, k) layout: no GEMM writes kx
+    innermost.
+
+    A 3x3 weight's forward and dx layouts are built once per weight array
+    (dx's only when a backward pass needs it) and kept while it lives
+    (`_layout`): a frozen weight builds them once, a trainable one once per
+    optimizer step. The first makes the array read-only, so change a weight
+    by assigning a new array to `weight.data`. 1x1 layouts are views.
     """
     _check_chw(x, "conv2d")
     weight, pad = p.weight, p.padding
@@ -588,8 +638,7 @@ def conv2d(x, p, relu=False):
             del taps  # before dx is built
             accumulate(weight, dw.transpose(1, 3, 0, 2))
         if x.requires_grad:
-            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            accumulate(x, _conv_rows(g, flipped, k - 1 - pad))
+            accumulate(x, _conv_rows(g, weight.data, k - 1 - pad, flip=True))
 
     return record(y, (x, weight), bw)
 

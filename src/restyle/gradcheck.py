@@ -2,8 +2,9 @@
 
 Each case builds float64 leaf tensors plus a forward closure producing a
 scalar; the analytic gradient from one backward pass is compared against
-central differences taken by mutating the leaf data in place. Large leaves
-are spot-checked on a deterministic random subset of coordinates.
+central differences, each side taken on a perturbed copy of the leaf's data
+that is then replaced by the original array. Large leaves are spot-checked
+on a deterministic random subset of coordinates.
 """
 
 from __future__ import annotations
@@ -86,21 +87,20 @@ def check_gradients(build, seed, max_coords=None):
     worst = 0.0
     coord_rng = np.random.default_rng(seed + 0x5EED)
     for leaf, ana in zip(leaves, analytic):
-        flat = leaf.data.reshape(-1)
-        n = flat.size
+        n = leaf.data.size
         if max_coords is None or n <= max_coords:
             coords = range(n)
         else:
             coords = coord_rng.choice(n, size=max_coords, replace=False)
         for i in coords:
-            numeric = _central(forward, flat, i, EPS)
+            numeric = _central(forward, leaf, i, EPS)
             err = float(rel_error(ana.reshape(-1)[i], numeric))
             # a relu kink inside the eps-interval invalidates the FD
             # estimate; the evidence is eps-instability of the numeric value
             # itself, in which case a refined estimate decides instead
             e = EPS
             while err > 1e-6 and e > EPS / 5000:
-                refined = _central(forward, flat, i, e / 16)
+                refined = _central(forward, leaf, i, e / 16)
                 if float(rel_error(numeric, refined)) <= 1e-6:
                     break  # stable estimate: the disagreement stands
                 numeric = refined
@@ -111,14 +111,19 @@ def check_gradients(build, seed, max_coords=None):
     return worst
 
 
-def _central(forward, flat, i, eps):
-    orig = flat[i]
-    flat[i] = orig + eps
-    up = forward().item()
-    flat[i] = orig - eps
-    down = forward().item()
-    flat[i] = orig
-    return (up - down) / (2 * eps)
+def _central(forward, leaf, i, eps):
+    """Central difference of forward() in flat coordinate i of `leaf`, each side on
+    a moved copy assigned to `leaf.data` (a used conv weight array is read-only)."""
+    orig = leaf.data
+    sides = []
+    try:
+        for step in (eps, -eps):
+            leaf.data = orig.copy()
+            leaf.data.reshape(-1)[i] += step
+            sides.append(forward().item())
+    finally:
+        leaf.data = orig
+    return (sides[0] - sides[1]) / (2 * eps)
 
 
 # ---------------------------------------------------------------------------

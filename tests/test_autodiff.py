@@ -1,6 +1,10 @@
 """Tensor engine tests: loop oracles, closed forms, finite differences."""
 
+import copy
+import gc
 import tracemalloc
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -353,6 +357,99 @@ class TestBandedColumns:
         assert peak < out.data.nbytes + ad.COLUMN_BYTES + (1 << 20) < full_columns // 8
 
 
+@dataclass
+class _OneConv:
+    """The smallest named parameter table: one conv."""
+
+    conv: ConvParams
+
+    def named_tensors(self):
+        return {"conv.weight": self.conv.weight}
+
+
+def _conv_bytes(x, weight, pad, g):
+    """Bytes of y, x.grad and (when the weight is trainable) weight.grad of one conv."""
+    xt = Tensor(x, requires_grad=True)
+    out = ad.conv2d(xt, ConvParams(weight=weight, padding=pad))
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    return [a.tobytes() for a in (out.data, xt.grad, weight.grad) if a is not None]
+
+
+class TestWeightLayouts:
+    """A 3x3 weight array's forward and dx GEMM layouts are built once, kept
+    while the array lives and make it read-only; 1x1 weights get none."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pad", [1, 0])
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_reused_layouts_keep_fresh_bits(self, dtype, pad, trainable):
+        """Two convs on one weight each give the bytes of a fresh copy's conv."""
+        rng = np.random.default_rng(pad)
+        wgt = rng.standard_normal((5, 4, 3, 3)).astype(dtype)
+        g = rng.standard_normal((5, 5 + 2 * pad, 4 + 2 * pad)).astype(dtype)
+        w = Tensor(wgt.copy(), requires_grad=trainable)
+        for _ in range(2):
+            x = rng.standard_normal((4, 7, 6)).astype(dtype)
+            w.zero_grad()
+            got = _conv_bytes(x, w, pad, g)
+            assert set(ad._LAYOUTS[id(w.data)]) == {False, True}
+            assert got == _conv_bytes(x, Tensor(wgt.copy(), requires_grad=trainable), pad, g)
+
+    def test_replaced_array_gets_new_layouts_and_dies(self):
+        """A weight array replaced as `Adam.step` replaces it: the next conv reads
+        the new values, and the table does not keep the old array alive."""
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 6, 6)).astype(np.float32)
+        g = rng.standard_normal((5, 6, 6)).astype(np.float32)
+        w = Tensor(rng.standard_normal((5, 4, 3, 3)).astype(np.float32), requires_grad=True)
+        _conv_bytes(x, w, 1, g)
+        old, old_entry = weakref.ref(w.data), ad._LAYOUTS[id(w.data)]
+        w.data = w.data - np.float32(0.1) * w.grad
+        w.zero_grad()
+        got = _conv_bytes(x, w, 1, g)
+        assert got == _conv_bytes(x, Tensor(w.data.copy(), requires_grad=True), 1, g)
+        gc.collect()
+        assert old() is None
+        assert all(entry is not old_entry for entry in ad._LAYOUTS.values())
+
+    def test_used_3x3_weight_is_read_only(self):
+        """An in-place write into a used 3x3 weight raises; 1x1 weights, padded
+        or not, stay writeable and get no entry."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 5, 5)).astype(np.float32)
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32))
+        ad.conv2d(Tensor(x), ConvParams(weight=w, padding=1))
+        with pytest.raises(ValueError):
+            w.data *= 2
+        for pad in (0, 1):
+            one = Tensor(rng.standard_normal((3, 2, 1, 1)).astype(np.float32),
+                         requires_grad=True)
+            _conv_bytes(x, one, pad, np.ones((3, 5 + 2 * pad, 5 + 2 * pad), np.float32))
+            assert id(one.data) not in ad._LAYOUTS and one.data.flags.writeable
+            one.data *= 2
+
+    def test_twin_shares_layouts_and_copies_carry_none(self, monkeypatch):
+        """The `shared_params` twin reads its original's layouts without a
+        rebuild; `copy.deepcopy` and `cast_params` give writeable arrays with
+        no entry."""
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((2, 5, 5)).astype(np.float32))
+        params = _OneConv(ConvParams(
+            weight=Tensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32),
+                          requires_grad=True), padding=1))
+        builds = []
+        weight_rows = ad._weight_rows
+        monkeypatch.setattr(ad, "_weight_rows",
+                            lambda *a: builds.append(a[1]) or weight_rows(*a))
+        ad.backward(ad.sum_all(ad.conv2d(x, params.conv)))
+        twin = ad.shared_params(params)
+        ad.backward(ad.sum_all(ad.conv2d(x, twin.conv)))
+        assert twin.conv.weight.data is params.conv.weight.data and builds == [False]
+        for other in (copy.deepcopy(params), ad.cast_params(params, np.float32)):
+            data = other.conv.weight.data
+            assert data.flags.writeable and id(data) not in ad._LAYOUTS
+
+
 class TestElementwiseAndSpatial:
     def test_relu(self):
         out = _relu(Tensor([[[-1.0, 0.0, 2.0]]]))
@@ -661,6 +758,20 @@ class TestFiniteDifferences:
     def test_conv2d_channels(self, seed, k, pad, c_in, c_out, size):
         build = _conv_case(k, pad, c_in=c_in, c_out=c_out, size=size)
         assert gradcheck.check_gradients(build, seed) < 1e-4
+
+    def test_leaves_keep_their_arrays(self):
+        """Each central difference runs on a perturbed copy: afterwards every
+        leaf holds its original array object, with its original values."""
+        kept = []
+
+        def build(rng):
+            leaves, forward = _conv_case(3, 1)(rng)
+            kept.extend((leaf, leaf.data, leaf.data.copy()) for leaf in leaves)
+            return leaves, forward
+
+        assert gradcheck.check_gradients(build, 0) < 1e-4
+        for leaf, array, values in kept:
+            assert leaf.data is array and array.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matmul(self, seed):

@@ -1,5 +1,6 @@
 """Pyramid orchestration and runtime-application tests."""
 
+import os
 import sys
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from restyle import autodiff as ad
 from restyle import encoder as enc_mod
+from restyle import trainer
+from restyle.config import RunConfig
 from restyle.encoder import compute_errors, make_encoder
 from restyle.errors import ContractError
 from restyle.images import from_chw
@@ -102,6 +105,22 @@ class TestStylize:
         a = stylize(rand_img(10), rand_img(11), model)
         b = stylize(rand_img(10), rand_img(11), model)
         assert a.final.tobytes() == b.final.tobytes()
+
+    def test_loaded_model_reuses_layouts_bit_identically(self, model, tmp_path):
+        """Two stylize calls on one loaded model, the second on the weight
+        layouts the first built, match each other and a freshly loaded copy
+        byte for byte."""
+        cfg = RunConfig(seed=1, image_size=32, channels=CHANNELS, levels=3,
+                        model_dir=str(tmp_path / "m")).validate()
+        trainer.init_model_dir(cfg.model_dir, cfg, model.encoder)
+        for level, params in enumerate(model.levels, start=1):
+            trainer.save_level_checkpoint(
+                os.path.join(cfg.model_dir, trainer.level_file(level)), params)
+        loaded, _ = trainer.load_model_dir(cfg.model_dir)
+        content, style = rand_img(12, 32), rand_img(13, 32)
+        first, second = (stylize(content, style, loaded).final for _ in range(2))
+        fresh = stylize(content, style, trainer.load_model_dir(cfg.model_dir)[0]).final
+        assert first.tobytes() == second.tobytes() == fresh.tobytes()
 
 
 class TestStylizeAlpha:
