@@ -236,14 +236,17 @@ def _check_chw(a, op):
 
 
 def _sum2x2(x):
-    """Sum of each 2x2 block of a (C, H, W) array.
+    """Sum of each 2x2 block of a (C, H, W) array, as (x00 + x01) + (x10 + x11).
 
-    Added in the order numpy's reshape-and-sum over the two block axes uses,
+    The column pairs of every row are summed first, then the row pairs of
+    those sums: two passes, where four strided quarter reads took longer.
+    This is the order numpy's reshape-and-sum over the two block axes uses,
     so the result matches it bit for bit, except when the output is one
     pixel wide: there numpy adds the four values left to right, and the two
     can differ in the last bits.
     """
-    return (x[:, 0::2, 0::2] + x[:, 0::2, 1::2]) + (x[:, 1::2, 0::2] + x[:, 1::2, 1::2])
+    s = x[:, :, 0::2] + x[:, :, 1::2]
+    return s[:, 0::2] + s[:, 1::2]
 
 
 def _repeat2x(x):
@@ -280,26 +283,6 @@ def upsample_nearest2x(a):
             accumulate(a, _sum2x2(g))
 
     return record(_repeat2x(a.data), (a,), bw)
-
-
-def concat_channels(xs):
-    """Concatenate (C_i, H, W) maps along the channel axis."""
-    xs = list(xs)
-    if not xs:
-        raise ContractError("concat_channels: empty input list")
-    for x in xs:
-        _check_chw(x, "concat_channels")
-        if x.shape[1:] != xs[0].shape[1:]:
-            raise ContractError(
-                f"concat_channels: spatial mismatch {x.shape[1:]} vs {xs[0].shape[1:]}")
-    offsets = np.cumsum([0] + [x.shape[0] for x in xs])
-
-    def bw(g):
-        for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-            if x.requires_grad:
-                accumulate(x, g[lo:hi])
-
-    return record(np.concatenate([x.data for x in xs], axis=0), xs, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -427,33 +410,55 @@ class ConvParams:
             raise ContractError("ConvParams: padding must be non-negative")
 
 
-def _tap_rows(x, k, pad, rows, out=None):
-    """The k column-shifted copies of a (C, H, W) input that output rows `rows` read.
+def _tap_rows(xs, k, pad, rows, out=None):
+    """The k column-shifted copies of the inputs `xs` that output rows `rows` read.
 
-    The shape is (k, C, len(rows) + k - 1, Wo) with Wo = W + 2*pad - k + 1,
-    and entry [kx, c, j, q] is x_pad[c, rows.start + j, q + kx], where x_pad
-    is x with `pad` zeros on every side: tap column kx of every padded input
-    row that the rows' kernels touch. Only the in-map window of each shift
-    is written, so the padded input is never built. A given `out` may hold
-    an earlier band's tap rows: every entry inside the map is overwritten,
-    and only its border, the entries that fall in x_pad's zero padding,
-    must already be zero. A negative `pad` crops the input instead. An
-    unpadded 1x1 conv reads the input's rows themselves, viewed without a
-    copy.
+    `xs` is a list of (C_i, H, W) arrays whose channels are read in order,
+    as if stacked into one (C, H, W) input x. The shape is
+    (k, C, len(rows) + k - 1, Wo) with Wo = W + 2*pad - k + 1, and entry
+    [kx, c, j, q] is x_pad[c, rows.start + j, q + kx], where x_pad is x with
+    `pad` zeros on every side: tap column kx of every padded input row that
+    the rows' kernels touch. Only the in-map window of each shift is
+    written, so neither the stacked nor the padded input is ever built.
+
+    Several inputs fill only the centre tap, kx = min(pad, k - 1), one copy
+    each, where it holds every input column (2*pad >= k - 1: every "same"
+    conv and every wider one); each side tap is then one copy of the centre
+    tap over all channels, shifted by whole columns. That is k + len(xs) - 1
+    copies, not k * len(xs). One input, or a narrower conv, fills every tap
+    from every input: for one input the count is the same, and each copy
+    reads the input rather than the buffer.
+
+    A given `out` may hold an earlier band's tap rows: every entry inside
+    the map is overwritten, and only its border, the entries that fall in
+    x_pad's zero padding, must already be zero. A negative `pad` crops the
+    input instead. An unpadded 1x1 conv of one input reads the input's rows
+    themselves, viewed without a copy.
     """
-    c, h, w = x.shape
-    if k == 1 and pad == 0 and out is None:
-        return x[None, :, rows.start:rows.stop]
+    h, w = xs[0].shape[1:]
+    if k == 1 and pad == 0 and out is None and len(xs) == 1:
+        return xs[0][None, :, rows.start:rows.stop]
     n, wo = len(rows) + k - 1, w + 2 * pad - k + 1
-    taps = np.zeros((k, c, n, wo), dtype=x.dtype) if out is None else out
+    if out is None:
+        out = np.zeros((k, sum(map(len, xs)), n, wo), dtype=xs[0].dtype)
     y0 = rows.start - pad  # the input row under tap row 0
     j0, j1 = max(0, -y0), min(n, h - y0)
-    if j1 > j0:
-        for kx in range(k):
+    if j1 <= j0:
+        return out
+    centre = min(pad, k - 1) if len(xs) > 1 and 2 * pad >= k - 1 else None
+    lo = 0
+    for x in xs:
+        hi = lo + len(x)
+        for kx in range(k) if centre is None else (centre,):
             q0, q1 = max(0, pad - kx), min(wo, w + pad - kx)
-            if q1 > q0:
-                taps[kx, :, j0:j1, q0:q1] = x[:, y0 + j0:y0 + j1, q0 + kx - pad:q1 + kx - pad]
-    return taps
+            out[kx, lo:hi, j0:j1, q0:q1] = x[:, y0 + j0:y0 + j1, q0 + kx - pad:q1 + kx - pad]
+        lo = hi
+    if centre is not None:
+        for kx in range(k):
+            if kx != centre:
+                q0, q1 = max(0, pad - kx), min(wo, w + pad - kx)
+                out[kx, :, j0:j1, q0:q1] = out[centre, :, j0:j1, q0 + kx - centre:q1 + kx - centre]
+    return out
 
 
 # Upper bound on one band's tap rows plus its k partial maps when _conv_rows
@@ -469,22 +474,29 @@ GEMM_BLOCK = 16
 
 
 # The GEMM layouts of each 3x3 weight array that a conv has used, keyed by
-# id(array): {False: forward layout, True: flipped dx layout}.
+# id(array): {False: forward layout, True: flipped dx layout, channels: the
+# dx layout's rows of those input channels}, `channels` a tuple of (lo, hi)
+# ranges, stored only for a conv over a list with some input frozen.
 _LAYOUTS = {}
 
 
-def _weight_rows(weight, flip):
+def _weight_rows(weight, flip, channels=None):
     """The (k*C_out, k*C_in) GEMM layout of a (C_out, C_in, k, k) weight, ky-major
     rows by kx-major columns; with `flip`, of the weight flipped in both spatial
-    axes with its channel axes swapped, the weight of conv2d's dx."""
+    axes with its channel axes swapped, the weight of conv2d's dx. `channels`,
+    a tuple of (lo, hi) ranges of the weight's input channels, keeps only the
+    flipped layout's rows of those channels, in order."""
     if flip:
         weight = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        if channels is not None:
+            weight = np.concatenate([weight[lo:hi] for lo, hi in channels])
     c_out, c_in, k, _ = weight.shape
     return weight.transpose(2, 0, 3, 1).reshape(k * c_out, k * c_in)
 
 
-def _layout(weight, flip):
-    """`_weight_rows(weight, flip)`, built once per 3x3 weight array.
+def _layout(weight, flip, channels=None):
+    """`_weight_rows(weight, flip, channels)`, built once per 3x3 weight array
+    and key (`flip`, or `channels` where given).
 
     The first layout makes the array read-only, so an in-place write raises
     ValueError rather than leaving a stale layout; an array that dies takes
@@ -496,15 +508,18 @@ def _layout(weight, flip):
         weight.flags.writeable = False
         entry = _LAYOUTS.setdefault(id(weight), {})
         weakref.finalize(weight, _LAYOUTS.pop, id(weight), None)
-    rows = entry.get(flip)
+    key = flip if channels is None else channels
+    rows = entry.get(key)
     if rows is None:
-        rows = entry[flip] = _weight_rows(weight, flip)
+        rows = entry[key] = _weight_rows(weight, flip, channels)
     return rows
 
 
-def _conv_rows(x, weight, pad, relu=False, flip=False):
-    """Stride-1 cross-correlation of a (C_in, H, W) array with a (C_out, C_in, k, k) one,
-    or with `flip` with the flipped weight of conv2d's dx (see `_weight_rows`).
+def _conv_rows(xs, weight, pad, relu=False, flip=False, channels=None):
+    """Stride-1 cross-correlation of the (C_i, H, W) arrays `xs`, channels read in
+    order, with a (C_out, C_in, k, k) weight, or with `flip` with the flipped
+    weight of conv2d's dx, restricted by `channels` to the dx of those input
+    channels (see `_weight_rows`).
 
     Each band of output rows is one GEMM of the weight's (k*C_out, k*C_in)
     layout by the band's `_tap_rows`, padded with columns to a multiple of
@@ -524,24 +539,25 @@ def _conv_rows(x, weight, pad, relu=False, flip=False):
     columns, and the GEMM keeps its whole-block shape.
 
     A negative `pad` crops: the gather the transposed conv in conv2d's dx
-    needs when pad > k - 1. An unpadded 1x1 conv copies nothing, so it is
-    not banded: it is one GEMM of the reshaped weight by the input.
+    needs when pad > k - 1. An unpadded 1x1 conv of one input copies
+    nothing, so it is not banded: it is one GEMM of the reshaped weight by
+    the input (by the inputs stacked, for several).
     """
-    c_out, c_in, k, _ = weight.shape
-    if flip:
-        c_out, c_in = c_in, c_out
-    _, h, w = x.shape
+    k = weight.shape[2]
+    wk = _layout(weight, flip, channels) if k == 3 else _weight_rows(weight, flip, channels)
+    c_out, c_in = wk.shape[0] // k, wk.shape[1] // k
+    _, h, w = xs[0].shape
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-    wk = _layout(weight, flip) if k == 3 else _weight_rows(weight, flip)
     if k == 1 and pad == 0:  # every 1x1 conv in the model
+        x = xs[0] if len(xs) == 1 else np.concatenate(xs)
         out = (wk @ x.reshape(c_in, h * w)).reshape(c_out, h, w)
         return np.maximum(out, 0, out=out) if relu else out
-    out = np.empty((c_out, ho, wo), dtype=np.result_type(weight, x))
-    row_bytes = k * (c_in + c_out) * wo * x.dtype.itemsize
+    out = np.empty((c_out, ho, wo), dtype=np.result_type(weight, xs[0]))
+    row_bytes = k * (c_in + c_out) * wo * xs[0].dtype.itemsize
     rows_per_band = max(1, COLUMN_BYTES // row_bytes - (k - 1))
     n = -(-ho // rows_per_band)
     width = (-(-ho // n) + k - 1) * wo
-    taps = np.zeros((k * c_in, -(-width // GEMM_BLOCK) * GEMM_BLOCK), dtype=x.dtype)
+    taps = np.zeros((k * c_in, -(-width // GEMM_BLOCK) * GEMM_BLOCK), dtype=xs[0].dtype)
     for i in range(n):
         rows = range(ho * i // n, ho * (i + 1) // n)
         m = len(rows)
@@ -550,7 +566,7 @@ def _conv_rows(x, weight, pad, relu=False, flip=False):
         below = rows.stop + k - 1 - pad - h  # tap rows under the map's last row
         if i and below > 0:
             band_taps[:, :, -below:] = 0
-        _tap_rows(x, k, pad, rows, out=band_taps)
+        _tap_rows(xs, k, pad, rows, out=band_taps)
         part = (wk @ taps[:, :-(-cols // GEMM_BLOCK) * GEMM_BLOCK])[:, :cols]
         part = part.reshape(k, c_out, m + k - 1, wo)
         band = out[:, rows.start:rows.stop]
@@ -570,6 +586,12 @@ def conv2d(x, p, relu=False):
     """Stride-1, bias-free 2-d convolution (cross-correlation) of a (C, H, W) map,
     followed by a ReLU when `relu` is set.
 
+    `x` is one Tensor or a list of (C_i, H, W) Tensors of one dtype and one
+    H x W, whose channels the conv reads in order, as it would read their
+    concatenation along the channel axis, without building that copy. One
+    Tensor is a list of one: there is a single conv path. Each input gets the
+    same checks, and their channels must sum to the weight's C_in.
+
     The output is (C_out, H + 2*pad - k + 1, W + 2*pad - k + 1); the model's
     3x3 convs with padding 1 and 1x1 convs without keep the map's size
     (`ConvParams` says why there is no stride or bias). `_conv_rows` computes
@@ -577,7 +599,8 @@ def conv2d(x, p, relu=False):
     than from k*k-tap im2col columns (the low-memory GEMM convolution of
     Anderson, Vasiliadis and Gregg 2017): one GEMM of the (k*C_out, k*C_in)
     rearranged weight by the tap rows gives k partial maps, and partial ky
-    adds into the output shifted by ky rows. The rows are split evenly into
+    adds into the output shifted by ky rows. Several inputs fill the centre
+    tap, and the side taps are copied from it. The rows are split evenly into
     the fewest bands whose tap rows and partial maps fit in `COLUMN_BYTES`,
     so a conv takes O(band) memory besides its output, and one tap buffer
     serves all of a call's bands. Each output element is the same sum of k
@@ -599,37 +622,57 @@ def conv2d(x, p, relu=False):
     The backward pass gives dx as the same routine on the output gradient,
     with the weight flipped in both spatial axes and its channel axes
     swapped, at padding k - 1 - pad: a gather, with no scatter-add; where
-    pad > k - 1 that padding is negative and crops. A weight that needs a
-    gradient gets it from k GEMMs of the output gradient by strided views of
-    the full tap rows, one per ky, shifted down by ky rows. The backward pass
-    rebuilds those tap rows rather than keeping them from the forward pass
-    (recomputation for memory, as in gradient checkpointing): they are k
-    times the size of the input, and gone before dx is built. dW takes one
-    strided copy into the (C_out, C_in, k, k) layout: no GEMM writes kx
-    innermost.
+    pad > k - 1 that padding is negative and crops. It is one GEMM over only
+    the flipped layout's rows of the inputs that require a gradient, and
+    each of them gets its slice: no dx is computed for a frozen input (as
+    autograd's `needs_input_grad` skips it; Paszke et al. 2019). A weight
+    that needs a gradient gets it from k GEMMs of the output gradient by
+    strided views of the full tap rows, one per ky, shifted down by ky rows.
+    The backward pass rebuilds those tap rows rather than keeping them from
+    the forward pass (recomputation for memory, as in gradient
+    checkpointing): they are k times the size of the input, and gone before
+    dx is built. dW takes one strided copy into the (C_out, C_in, k, k)
+    layout: no GEMM writes kx innermost.
 
     A 3x3 weight's forward and dx layouts are built once per weight array
-    (dx's only when a backward pass needs it) and kept while it lives
+    (dx's only when a backward pass needs it, and the row subset of dx's
+    only when some input of a list is frozen) and kept while it lives
     (`_layout`): a frozen weight builds them once, a trainable one once per
     optimizer step. The first makes the array read-only, so change a weight
     by assigning a new array to `weight.data`. 1x1 layouts are views.
+
+    The recorded node's parents are the first input, the weight, then the
+    other inputs, so code that reads a conv node's parents (such as
+    perfbench/hooks.py's GEMM counts) finds the weight second, as for one
+    input.
     """
-    _check_chw(x, "conv2d")
+    xs = [x] if isinstance(x, Tensor) else list(x)
+    data = [t.data for t in xs]
+    if not data:
+        raise ContractError("conv2d: empty input list")
+    for a in data:
+        if a.ndim != 3:
+            raise ContractError(f"conv2d: expected (C,H,W) tensors, got shape {a.shape}")
+    for a in data[1:]:
+        if a.shape[1:] != data[0].shape[1:] or a.dtype != data[0].dtype:
+            raise ContractError(f"conv2d: inputs of shape and dtype {a.shape} {a.dtype} "
+                                f"and {data[0].shape} {data[0].dtype}")
     weight, pad = p.weight, p.padding
     c_out, c_in, k, _ = weight.shape
-    c, h, w = x.shape
+    c = sum(map(len, data))
+    _, h, w = data[0].shape
     if c != c_in:
         raise ContractError(f"conv2d: input has {c} channels, weight expects {c_in}")
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ContractError(f"conv2d: padded input {h}x{w} (pad {pad}) smaller than kernel {k}")
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
-    y = _conv_rows(x.data, weight.data, pad, relu)
+    y = _conv_rows(data, weight.data, pad, relu)
 
     def bw(g):
         if relu:
             g = g * (y > 0)
         if weight.requires_grad:
-            taps = _tap_rows(x.data, k, pad, range(ho))
+            taps = _tap_rows(data, k, pad, range(ho))
             g2 = g.reshape(c_out, ho * wo)
             dw = np.empty((k, c_out, k, c_in), dtype=g.dtype)
             for ky in range(k):
@@ -637,10 +680,21 @@ def conv2d(x, p, relu=False):
                 np.matmul(g2, rows.T, out=dw[ky].reshape(c_out, k * c_in))
             del taps  # before dx is built
             accumulate(weight, dw.transpose(1, 3, 0, 2))
-        if x.requires_grad:
-            accumulate(x, _conv_rows(g, weight.data, k - 1 - pad, flip=True))
+        grads = [t for t in xs if t.requires_grad]
+        if not grads:
+            return
+        channels = None
+        if len(grads) < len(xs):  # the channel ranges of the inputs that train
+            ends = np.cumsum(list(map(len, data))).tolist()
+            channels = tuple((end - len(a), end)
+                             for t, a, end in zip(xs, data, ends) if t.requires_grad)
+        dx = _conv_rows([g], weight.data, k - 1 - pad, flip=True, channels=channels)
+        at = 0
+        for t in grads:
+            accumulate(t, dx[at:at + len(t.data)])
+            at += len(t.data)
 
-    return record(y, (x, weight), bw)
+    return record(y, (xs[0], weight, *xs[1:]), bw)
 
 
 # ---------------------------------------------------------------------------

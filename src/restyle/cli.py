@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 
@@ -143,7 +145,37 @@ def build_parser():
     return parser
 
 
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def pin_malloc():
+    """Fix glibc's malloc thresholds, once per process.
+
+    By default glibc raises its mmap threshold to the largest block freed so
+    far and trims the top of the heap whenever twice that is free, so
+    whether a map of a few MB is mapped or trimmed, and then faulted back in,
+    on every call depends on what the process freed before. Fixed
+    thresholds keep every block under 32 MiB on the heap and the heap
+    untrimmed below 1 GiB: calls 2-6 of a 384 px `stylize` in one process
+    took about 26K minor page faults each under default glibc, and 2 with
+    these thresholds (BENCH_phi_w_lists.json). Called from `main` only,
+    never at import; where the C library has no `mallopt`, nothing is
+    changed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no C library, or no mallopt in it
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None):
+    pin_malloc()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -174,6 +174,17 @@ def _build_tv(rng):
     return [x], lambda: tv_loss(x)
 
 
+def _build_conv2d_list(rng):
+    """conv2d over a two-input list whose first input is frozen: the backward
+    pass computes dx for the second input's channels only."""
+    frozen = ad.Tensor(rng.standard_normal((3, 5, 4)), dtype=np.float64)
+    x = _leaf(rng, (2, 5, 4), 1.0)
+    w = _leaf(rng, *_conv_spec(5, 4, 3))
+    proj = projection(rng, (4, 5, 4))
+    p = ConvParams(weight=w, padding=1)
+    return [x, w], lambda: scalarize(ad.conv2d([frozen, x], p), proj)
+
+
 def _loss_builder(which):
     def build(rng):
         enc = _shadow_encoder()
@@ -227,6 +238,7 @@ def standard_suite():
     """Every differentiable operation, checked over >= 5 seeded instances."""
     return [
         GradCase("conv2d", case(_conv2d, ((3, 6, 6), 1.0), _conv_spec(3, 4, 3))),
+        GradCase("conv2d_list", _build_conv2d_list),
         GradCase("avgpool2x", case(ad.avgpool2x, ((2, 4, 6), 1.0))),
         GradCase("upsample_nearest2x", case(ad.upsample_nearest2x, ((2, 3, 3), 1.0))),
         GradCase("matmul", case(ad.matmul, ((4, 3), 1.0), ((3, 5), 1.0))),

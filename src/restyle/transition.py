@@ -15,7 +15,9 @@ A propagation block is three steps: `fused_error`, then `block_error` and
 `run_decoder` and the site-by-site `calibrate` all run them. Every per-pixel
 linear map runs before the nearest 2x upsample it commutes with, at the
 coarser resolution. The finest block's error map has no consumer, so
-`run_decoder` and `calibrate` skip its `block_error` step.
+`run_decoder` and `calibrate` skip its `block_error` step. `block_residual`'s
+merge conv reads its three input maps as a list, so they are never copied
+into one concatenated array.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class PropagationBlockParams:
     psi:   learnable (C_{i-1}, C_{i-1}) fusion matrix
     phi_u: 3x3, refines the fused error
     phi_v: 1x1, C_i -> C_{i-1}, adapts the incoming residual feature
-    phi_w: 3x3, merges (residual branch, encoder feature, fused error)
+    phi_w: 3x3, merges (residual branch, encoder feature, fused error), one
+           conv over the three maps as a list (see `block_residual`)
 
     phi_t, psi and phi_v run at scale i, before the upsample; phi_u and phi_w
     run at scale i-1. The finest block's phi_u is unused: its output would
@@ -202,10 +205,14 @@ def block_error(fused, p: PropagationBlockParams):
 
 def block_residual(fused, d_i, f_in_finer, p: PropagationBlockParams):
     """The phi_w site: the refined residual feature at 2x. phi_v runs before
-    the upsample, which then carries C_{i-1} channels rather than C_i."""
-    merged = ad.concat_channels([ad.upsample_nearest2x(ad.conv2d(d_i, p.phi_v)),
-                                 f_in_finer, fused])
-    return ad.conv2d(merged, p.phi_w, relu=True)
+    the upsample, which then carries C_{i-1} channels rather than C_i.
+
+    phi_w is one conv over the list [up(phi_v d), f_in, fused]: it reads the
+    three maps in that order without concatenating them, and its backward
+    pass computes no gradient for a map that needs none, such as f_in, the
+    features of an estimate that training holds fixed."""
+    return ad.conv2d([ad.upsample_nearest2x(ad.conv2d(d_i, p.phi_v)), f_in_finer, fused],
+                     p.phi_w, relu=True)
 
 
 def propagation_block(err_i, d_i, f_in_finer, style_delta_finer, p: PropagationBlockParams):

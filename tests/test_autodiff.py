@@ -218,7 +218,7 @@ class TestBandedColumns:
         ho = 9 + 2 * pad - k + 1
         for r0 in range(ho):
             for r1 in range(r0 + 1, min(ho, r0 + 5) + 1):
-                got = np.ascontiguousarray(ad._tap_rows(x, k, pad, range(r0, r1)))
+                got = np.ascontiguousarray(ad._tap_rows([x], k, pad, range(r0, r1)))
                 assert got.tobytes() == np.ascontiguousarray(full[:, :, r0:r1 + k - 1]).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -322,8 +322,9 @@ class TestBandedColumns:
             assert n == 0 or n >= 3
             g = rng.standard_normal(out.shape).astype(np.float32)
             ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
-            assert calls[n][0] is x.data and calls[n][1] == range(ho)
-            assert all(a is not x.data for a, _ in calls[n + 1:])  # dx reads g
+            xs, rows = calls[n]
+            assert len(xs) == 1 and xs[0] is x.data and rows == range(ho)
+            assert all(a[0] is not x.data for a, _ in calls[n + 1:])  # dx reads g
             assert wgt.grad.tobytes() == padded_tap_weight_grad(x.data, g, k, pad).tobytes()
 
     def test_trainable_conv_keeps_no_columns(self):
@@ -449,6 +450,117 @@ class TestWeightLayouts:
             data = other.conv.weight.data
             assert data.flags.writeable and id(data) not in ad._LAYOUTS
 
+    def test_row_subset_entry_only_for_a_frozen_input(self):
+        """A conv over a list keeps the full dx layout while every input trains,
+        and adds the dx rows of the training inputs' channels once one is
+        frozen; the weight stays read-only, and the entry dies with it."""
+        rng = np.random.default_rng(7)
+        parts = [rng.standard_normal((c, 6, 5)).astype(np.float32) for c in (2, 3, 4)]
+        g = rng.standard_normal((5, 6, 5)).astype(np.float32)
+        w = Tensor(rng.standard_normal((5, 9, 3, 3)).astype(np.float32), requires_grad=True)
+        for frozen, keys in (((), {False, True}),
+                             ((1,), {False, True, ((0, 2), (5, 9))})):
+            _list_conv(parts, w, g, frozen)
+            assert set(ad._LAYOUTS[id(w.data)]) == keys
+        with pytest.raises(ValueError):
+            w.data *= 2
+        old, old_entry = weakref.ref(w.data), ad._LAYOUTS[id(w.data)]
+        w.data = w.data.copy()
+        gc.collect()
+        assert old() is None
+        assert all(entry is not old_entry for entry in ad._LAYOUTS.values())
+
+
+def _list_conv(parts, weight, g, frozen=(), k=3, relu=False):
+    """y, weight.grad and each input's .grad of conv2d over `parts` as a list,
+    the inputs at the indices `frozen` without requires_grad."""
+    xs = [Tensor(a, requires_grad=i not in frozen) for i, a in enumerate(parts)]
+    out = ad.conv2d(xs, ConvParams(weight=weight, padding=k // 2), relu=relu)
+    ad.backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    return out.data, weight.grad, [x.grad for x in xs]
+
+
+class TestConvList:
+    """conv2d over a list of inputs is conv2d over their concatenation, bit for
+    bit, and computes dx only for the inputs that require a gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,rows", [(3, None), (3, 7), (1, None)],
+                             ids=["3x3", "3x3-bands", "1x1"])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("frozen", [(), (1,), (0, 2)], ids=["none", "middle", "ends"])
+    def test_equals_concatenated_input(self, monkeypatch, dtype, k, rows, relu, frozen):
+        rng = np.random.default_rng(k + 10 * len(frozen))
+        sizes, c_out, h, w = (6, 4, 5), 7, 40, 37
+        parts = [rng.standard_normal((c, h, w)).astype(dtype) for c in sizes]
+        wgt = rng.standard_normal((c_out, sum(sizes), k, k)).astype(dtype)
+        g = rng.standard_normal((c_out, h, w)).astype(dtype)
+        calls = []
+        tap_rows = ad._tap_rows
+        monkeypatch.setattr(ad, "_tap_rows",
+                            lambda *a, **kw: calls.append(a[3]) or tap_rows(*a, **kw))
+        if rows is not None:
+            _banded(monkeypatch, rows, k, sum(sizes), c_out, w, dtype)
+        cat = Tensor(np.concatenate(parts), requires_grad=True)
+        w_cat = Tensor(wgt.copy(), requires_grad=True)
+        y_cat = ad.conv2d(cat, ConvParams(weight=w_cat, padding=k // 2), relu=relu)
+        ad.backward(ad.sum_all(ad.mul(y_cat, Tensor(g))))
+        calls.clear()
+        y, dw, dxs = _list_conv(parts, Tensor(wgt.copy(), requires_grad=True), g, frozen, k, relu)
+        if k == 3:
+            assert len(calls) >= (1 if rows is None else 3)
+        np.testing.assert_array_equal(y, y_cat.data)
+        np.testing.assert_array_equal(dw, w_cat.grad)
+        lo = 0
+        for i, (c, dx) in enumerate(zip(sizes, dxs)):
+            if i in frozen:
+                assert dx is None
+            else:
+                np.testing.assert_array_equal(dx, cat.grad[lo:lo + c])
+            lo += c
+
+    def test_dx_gemm_covers_only_training_inputs(self, monkeypatch):
+        """The backward pass runs one dx conv, over the channels of the inputs
+        that require a gradient, and none when every input is frozen."""
+        rng = np.random.default_rng(8)
+        parts = [rng.standard_normal((c, 5, 5)).astype(np.float32) for c in (2, 3, 4)]
+        g = rng.standard_normal((4, 5, 5)).astype(np.float32)
+        w = Tensor(rng.standard_normal((4, 9, 3, 3)).astype(np.float32), requires_grad=True)
+        dx_channels = []
+        conv_rows = ad._conv_rows
+        monkeypatch.setattr(ad, "_conv_rows", lambda *a, **kw: (
+            kw.get("flip") and dx_channels.append(kw.get("channels"))) or conv_rows(*a, **kw))
+        for frozen, want in (((), [None]), ((1,), [((0, 2), (5, 9))]), ((0, 2), [((2, 5),)]),
+                             ((0, 1, 2), [])):
+            dx_channels.clear()
+            _list_conv(parts, w, g, frozen)
+            assert dx_channels == want
+
+    @pytest.mark.parametrize("k,pad", TestBandedColumns.CASES, ids=TestBandedColumns.IDS)
+    def test_tap_rows_of_a_list_equal_those_of_the_stack(self, k, pad):
+        """Tap rows filled from three inputs equal the np.pad tap rows of their
+        stack, with the centre tap filled and copied (pad >= 1) and without (pad 0)."""
+        rng = np.random.default_rng(k * 10 + pad)
+        parts = [rng.standard_normal((c, 9, 7)).astype(np.float32) for c in (1, 3, 2)]
+        full = padded_tap_rows(np.concatenate(parts), k, pad)
+        ho = 9 + 2 * pad - k + 1
+        for r0, r1 in ((0, ho), (0, 2), (3, 5), (ho - 2, ho)):
+            got = np.ascontiguousarray(ad._tap_rows(parts, k, pad, range(r0, r1)))
+            assert got.tobytes() == np.ascontiguousarray(full[:, :, r0:r1 + k - 1]).tobytes()
+
+    @pytest.mark.parametrize("shapes,dtypes,c_in", [
+        ([(2, 4, 4), (1, 4, 5)], [np.float32] * 2, 3),  # H x W differ
+        ([(2, 4, 4), (1, 4, 4)], [np.float32] * 2, 4),  # channels sum to 3, not 4
+        ([(2, 4, 4), (1, 4, 4)], [np.float32, np.float64], 3),  # mixed dtypes
+        ([(2, 4, 4), (4, 4)], [np.float32] * 2, 3),  # not (C, H, W)
+        ([], [], 3),
+    ], ids=["spatial", "channels", "dtype", "rank", "empty"])
+    def test_contract_errors(self, shapes, dtypes, c_in):
+        xs = [Tensor(np.zeros(s, dtype=d)) for s, d in zip(shapes, dtypes)]
+        p = ConvParams(weight=Tensor(np.zeros((2, c_in, 3, 3), dtype=np.float32)), padding=1)
+        with pytest.raises(ContractError):
+            ad.conv2d(xs, p)
+
 
 class TestElementwiseAndSpatial:
     def test_relu(self):
@@ -473,17 +585,6 @@ class TestElementwiseAndSpatial:
     def test_avgpool_odd_raises(self):
         with pytest.raises(ContractError):
             ad.avgpool2x(Tensor(np.zeros((1, 3, 4))))
-
-    def test_concat_channels(self):
-        a = Tensor(np.ones((2, 3, 3)))
-        b = Tensor(np.full((1, 3, 3), 2.0))
-        out = ad.concat_channels([a, b])
-        assert out.shape == (3, 3, 3)
-        np.testing.assert_array_equal(out.data[2], np.full((3, 3), 2.0))
-
-    def test_concat_spatial_mismatch_raises(self):
-        with pytest.raises(ContractError):
-            ad.concat_channels([Tensor(np.zeros((1, 3, 3))), Tensor(np.zeros((1, 4, 3)))])
 
     def test_cast_gradient_keeps_input_dtype(self):
         x = Tensor(np.array([0.5, -1.25], dtype=np.float32), requires_grad=True)
@@ -795,12 +896,6 @@ class TestFiniteDifferences:
             "clamp01-clamp01-shape7", "mean-mean_all-shape8"])
     def test_unary_ops(self, seed, name, op, shape):
         assert gradcheck.check_gradients(gradcheck.case(op, (shape, 1.0)), seed) < 1e-4
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_concat_channels(self, seed):
-        build = gradcheck.case(lambda a, b: ad.concat_channels([a, b]),
-                               ((2, 3, 3), 1.0), ((3, 3, 3), 1.0))
-        assert gradcheck.check_gradients(build, seed) < 1e-4
 
 
 class TestDeterminism:

@@ -2,13 +2,15 @@
 
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from restyle import autodiff, checkpoint, encoder, gradcheck, trainer, transition
+from restyle import autodiff, checkpoint, cli, encoder, gradcheck, trainer, transition
 from restyle.cli import main
 from restyle.corpus import CorpusSpec, make_test_pairs
 from restyle.images import load_ppm, save_ppm
@@ -326,6 +328,66 @@ class TestRefineAndEval:
                    "--out", str(tmp / "table.tsv")])
         assert rc == 0
         assert len((tmp / "table.tsv").read_text().strip().split("\n")) == 3
+
+
+class _Libc:
+    """A C library whose `mallopt` records its calls."""
+
+    def __init__(self):
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append((param, value))
+
+
+@pytest.fixture
+def unpinned(monkeypatch):
+    """A process whose malloc `cli.main` has not pinned yet; `ctypes.CDLL(None)`
+    is the test's to replace. The pin is left to be redone afterwards."""
+    cli.pin_malloc.cache_clear()
+    yield monkeypatch
+    cli.pin_malloc.cache_clear()
+
+
+class TestMallocPin:
+    def test_main_pins_once_per_process(self, unpinned, capsys):
+        libc = _Libc()
+        unpinned.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        for _ in range(2):
+            assert main(["gradcheck", "--op", "nope"]) == 2
+        assert libc.calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 1 << 30)]
+
+    def test_missing_mallopt_still_stylizes(self, tmp_path, trained, unpinned, capsys):
+        """Without `mallopt` the pin does nothing: `stylize` writes the image a
+        pinned process writes, and the exit codes stay the same."""
+        def argv(out, content=trained / "content"):
+            return ["stylize", "--content", str(content), "--style", str(trained / "style"),
+                    "--model", str(trained / "model"), "--out", str(out)]
+
+        assert main(argv(tmp_path / "pinned.ppm")) == 0
+        cli.pin_malloc.cache_clear()
+        unpinned.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert main(argv(tmp_path / "plain.ppm")) == 0
+        assert (tmp_path / "plain.ppm").read_bytes() == (tmp_path / "pinned.ppm").read_bytes()
+        assert main(argv(tmp_path / "x.ppm", content=tmp_path / "missing.ppm")) == 2
+        assert "error: file:" in capsys.readouterr().err
+
+    def test_import_does_not_pin(self):
+        """A fresh interpreter that imports `restyle.cli` calls no `mallopt`."""
+        code = "\n".join([
+            "import ctypes",
+            "calls = []",
+            "class Libc:",
+            "    def mallopt(self, *args):",
+            "        calls.append(args)",
+            "load = ctypes.CDLL",
+            "ctypes.CDLL = lambda name, *a, **kw: Libc() if name is None else load(name, *a, **kw)",
+            "import restyle.cli",
+            "print(len(calls))",
+        ])
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == ["0"]
 
 
 class TestGradcheckCommand:

@@ -262,9 +262,9 @@ class TestPropagationBlock:
         err_out, d_out = propagation_block(err, d, f_in, sd, p)
         np.testing.assert_array_equal(err_out.data, np.zeros((4, 6, 6)))
         # residual branch reduces to the feature branch alone
-        merged = ad.concat_channels([
-            ad.conv2d(Tensor(np.zeros((6, 6, 6), dtype=np.float32)), p.phi_v),
-            f_in, Tensor(np.zeros((4, 6, 6), dtype=np.float32))])
+        merged = Tensor(np.concatenate([
+            ad.conv2d(Tensor(np.zeros((6, 6, 6), dtype=np.float32)), p.phi_v).data,
+            f_in.data, np.zeros((4, 6, 6), dtype=np.float32)]))
         want = np.maximum(ad.conv2d(merged, p.phi_w).data, 0)
         np.testing.assert_array_equal(d_out.data, want)
 
