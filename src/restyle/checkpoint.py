@@ -112,5 +112,10 @@ def write(path, named):
 
 
 def read(path):
+    """`loads` of the file at `path`; a `CheckpointError` names the path."""
     with open(path, "rb") as fh:
-        return loads(fh.read())
+        data = fh.read()
+    try:
+        return loads(data)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc

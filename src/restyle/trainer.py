@@ -8,8 +8,14 @@ drives the decoder to emit a zero residual when content, style, and estimate
 coincide, which the feature branch of the architecture does not guarantee.
 
 A level starts from seeded draws that `transition.calibrate` rescales on
-`probe_cases`. The objective's residual is `etnet_forward`'s. Training,
-evaluation, `content_loss` and `style_loss` all score through `level_terms`.
+`probe_cases`. `sample_objective` is the one training objective: the
+residual of `etnet_forward`, the recovering clamp below, the content, style
+and smoothness terms of the refined image and the zero-pair term, summed by
+`combine_losses`. A level's targets are the pair of per-level (stack, Gram
+stack) lists of the content and of the style, this level first: the form
+`TargetCache.features` returns, which the frozen walk also reads, and
+`image_targets` builds from images. Training, evaluation, `content_loss` and
+`style_loss` all score through `level_terms`.
 
 Training takes its losses on `recovering_clamp01(estimate + residual)`, not
 on `ad.clamp01`: the value is the same clamp, but a pixel outside [0, 1]
@@ -44,7 +50,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,20 +99,20 @@ def _stack_chain(img_t, count, enc):
     return stacks
 
 
-def _sum(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return total
+def _level_feats(img_t, count, enc):
+    """(stack, Gram stack) of img and of each of its successive half-resolution versions."""
+    return [(stack, gram_stack(stack)) for stack in _stack_chain(img_t, count, enc)]
 
 
 def _image_term(name, stylized, target, level, depth, enc, half):
-    """One half (0 content, 1 style) of `level_terms` against `target` in both roles."""
+    """One half (0 content, 1 style) of `level_terms` against `target` in both
+    roles; the target is encoded once for both."""
     cs = _as_image_tensor(stylized)
     t = _as_image_tensor(target)
     if cs.shape != t.shape:
         raise ContractError(f"{name}: {cs.shape} vs {t.shape}")
-    return level_terms(cs, image_targets(t, t, depth - level + 1, enc), enc)[half]
+    feats = _level_feats(t, depth - level + 1, enc)
+    return level_terms(cs, (feats, feats), enc)[half]
 
 
 def content_loss(stylized, content, level, depth, enc: Encoder):
@@ -182,53 +187,27 @@ def combine_losses(l_pc, l_ps, l_tv, level, weights: LossWeights, zero_sq=None):
     return total
 
 
-class LevelTargets(NamedTuple):
-    """Encoder targets of one (content, style) pair for one level's objective."""
-
-    content_stack: FeatureStack           # content at this level
-    content_deep: list[Tensor]            # deepest content features, this level and coarser
-    style_grams: tuple[Tensor, ...]       # style Gram stack at this level
-    style_deep_grams: list[Tensor]        # deepest style Gram at each coarser level
+def image_targets(content, style, count, enc):
+    """Targets of a (content, style) pair over `count` levels, pooling the images:
+    the pair (c_feats, s_feats) of per-level (stack, Gram stack) lists, this
+    level first, the form `TargetCache.features` gives."""
+    return _level_feats(content, count, enc), _level_feats(style, count, enc)
 
 
-def level_targets(c_feats, s_feats) -> LevelTargets:
-    """Targets from per-level (stack, grams) of the content and of the style,
-    this level first, then each coarser one."""
-    return LevelTargets(content_stack=c_feats[0][0],
-                        content_deep=[stack.stages[-1] for stack, _ in c_feats],
-                        style_grams=s_feats[0][1],
-                        style_deep_grams=[grams[-1] for _, grams in s_feats[1:]])
-
-
-def image_targets(content, style, count, enc) -> LevelTargets:
-    """Targets of a (content, style) pair over `count` levels, pooling the images."""
-    c_feats, s_feats = ([(st, gram_stack(st)) for st in _stack_chain(img, count, enc)]
-                        for img in (content, style))
-    return level_targets(c_feats, s_feats)
-
-
-def level_terms(stylized, targets: LevelTargets, enc):
-    """(l_pc, l_ps) of a stylized (3, H, W) image: the content and style terms
-    of this level and of every coarser one that `targets` covers."""
-    stacks = _stack_chain(stylized, len(targets.content_deep), enc)
-    content = [_msq(stack.stages[-1], tg) for stack, tg in zip(stacks, targets.content_deep)]
-    style = [_msq(ad.gram(f), tg) for f, tg in zip(stacks[0].stages, targets.style_grams)]
-    style += [_msq(ad.gram(stack.stages[-1]), tg)
-              for stack, tg in zip(stacks[1:], targets.style_deep_grams)]
-    return _sum(content), _sum(style)
-
-
-def level_objective(stylized, targets: LevelTargets, level, enc, weights: LossWeights,
-                    zero_residual=None):
-    """Weighted objective of a stylized (3, H, W) tensor: (total, l_pc, l_ps, l_tv);
-    `zero_residual` adds the zero-pair term."""
-    l_pc, l_ps = level_terms(stylized, targets, enc)
-    l_tv = tv_loss(stylized)
-    zero_sq = None
-    if zero_residual is not None:
-        zero_sq = ad.mean_all(ad.mul(zero_residual, zero_residual))
-    total = combine_losses(l_pc, l_ps, l_tv, level, weights, zero_sq=zero_sq)
-    return total, l_pc, l_ps, l_tv
+def level_terms(stylized, targets, enc):
+    """(l_pc, l_ps) of a stylized (3, H, W) image against `targets`, a pair of
+    per-level (stack, Gram stack) lists of the content and of the style, this
+    level first: the content term at this level and at every coarser one, the
+    style term at every stage of this level, then at the deepest stage of each
+    coarser one."""
+    c_feats, s_feats = targets
+    stacks = _stack_chain(stylized, len(c_feats), enc)
+    content = [_msq(stack.stages[-1], c_stack.stages[-1])
+               for stack, (c_stack, _) in zip(stacks, c_feats)]
+    style = [_msq(ad.gram(f), g) for f, g in zip(stacks[0].stages, s_feats[0][1])]
+    style += [_msq(ad.gram(stack.stages[-1]), grams[-1])
+              for stack, (_, grams) in zip(stacks[1:], s_feats[1:])]
+    return functools.reduce(ad.add, content), functools.reduce(ad.add, style)
 
 
 def _zero_bundle(stack: FeatureStack):
@@ -240,15 +219,21 @@ def _zero_bundle(stack: FeatureStack):
     return ErrorBundle(content=content, style=style)
 
 
-def sample_objective(icing_t, targets: LevelTargets, params: LevelParams, enc, level,
+def sample_objective(icing_t, targets, params: LevelParams, enc, level,
                      weights: LossWeights):
-    """The training objective of one sample: the level's network refines the
-    estimate `icing_t`, its losses are taken on the recovering clamp, and the
-    zero-pair term asks for a zero residual on the content's own features."""
-    residual = etnet_forward(targets.content_stack, targets.style_grams, icing_t, params, enc)
+    """The training objective of one sample, (total, l_pc, l_ps, l_tv): the
+    level's network refines the estimate `icing_t` toward `targets` (as
+    `level_terms` takes them), its losses are taken on the recovering clamp,
+    and the zero-pair term asks for a zero residual on the content's own features."""
+    (c_stack, _), (_, s_grams) = targets[0][0], targets[1][0]
+    residual = etnet_forward(c_stack, s_grams, icing_t, params, enc)
     stylized = recovering_clamp01(ad.add(icing_t, residual))
-    zero_res, _ = run_decoder(_zero_bundle(targets.content_stack), targets.content_stack, params)
-    return level_objective(stylized, targets, level, enc, weights, zero_residual=zero_res)
+    zero_res, _ = run_decoder(_zero_bundle(c_stack), c_stack, params)
+    l_pc, l_ps = level_terms(stylized, targets, enc)
+    l_tv = tv_loss(stylized)
+    total = combine_losses(l_pc, l_ps, l_tv, level, weights,
+                           zero_sq=ad.mean_all(ad.mul(zero_res, zero_res)))
+    return total, l_pc, l_ps, l_tv
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +510,8 @@ def _train_sample(cfg, level, enc, frozen, params, cache, weights, c_key, s_key)
     if prefix:
         icing = upsample(prefix[-1])
 
-    targets = level_targets(c_feats, s_feats)
-    total, l_pc, l_ps, l_tv = sample_objective(_as_image_tensor(icing), targets, params, enc,
-                                               level, weights)
+    total, l_pc, l_ps, l_tv = sample_objective(_as_image_tensor(icing), (c_feats, s_feats),
+                                               params, enc, level, weights)
     ad.backward(total)
     return np.array([l_pc.item(), l_ps.item(), l_tv.item(), total.item()])
 
@@ -615,11 +599,13 @@ def _read_params(params, path):
 
     `load_state` checks that the file holds exactly the names and shapes of
     the layout `config.txt` declares; the values must also be finite. Any
-    fault raises `CheckpointError` naming `path`.
+    fault raises `CheckpointError` naming `path`, once (`checkpoint.read`
+    names it in its own errors).
     """
+    state = checkpoint.read(path)
     try:
-        ad.load_state(params, checkpoint.read(path))
-    except (CheckpointError, ContractError) as exc:
+        ad.load_state(params, state)
+    except ContractError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     for name, t in params.named_tensors().items():
         if not np.isfinite(t.data).all():

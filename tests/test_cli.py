@@ -77,6 +77,16 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: config: level {level} outside 1..2\n"
         assert not (tmp_path / "model").exists()
 
+    def test_corrupt_encoder_checkpoint_names_file(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text(TINY.format(dir=tmp_path / "model"))
+        enc_path = tmp_path / "model" / "encoder.ckpt"
+        enc_path.parent.mkdir()
+        enc_path.write_bytes(b"XXXXjunk")
+        rc = main(["train", "--config", str(tmp_path / "run.cfg"), "--level", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"error: config: {enc_path}: bad magic b'XXXX', expected b'ETNT'\n"
+
     def test_zero_steps_writes_init_checkpoint(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(TINY.format(dir=tmp_path / "m").replace("steps = 2", "steps = 0"))

@@ -14,15 +14,16 @@ from restyle import checkpoint, gradcheck
 from restyle.autodiff import Tensor
 from restyle.config import RunConfig, format_config, read_text
 from restyle.corpus import CorpusSpec, make_corpus
-from restyle.encoder import encode, gram_stack, make_encoder
+from restyle.encoder import ErrorBundle, encode, gram_stack, make_encoder
 from restyle.errors import CheckpointError, ConfigError, ContractError, TrainingDiverged
 from restyle.images import downsample, to_chw, upsample
 from restyle.stylizer import PyramidModel, start_estimate, stylize
 from restyle import stylizer, trainer
 from restyle.trainer import (Adam, LossWeights, TargetCache, TrainResult, combine_losses,
                              content_loss, cosine_lr, evaluate, full_resolution_losses,
-                             image_targets, init_level_params, level_objective, probe_cases,
-                             recovering_clamp01, style_loss, train_level, tv_loss)
+                             image_targets, init_level_params, level_terms, probe_cases,
+                             recovering_clamp01, sample_objective, style_loss, train_level,
+                             tv_loss)
 from restyle.transition import RESIDUAL_INIT_RMS, etnet_forward, make_level_params, \
     run_decoder
 
@@ -73,6 +74,22 @@ class TestContentLoss:
     def test_size_mismatch_raises(self, enc):
         with pytest.raises(ContractError):
             content_loss(rand_img(5, 16), rand_img(6, 32), level=1, depth=1, enc=enc)
+
+    def test_encodes_the_target_once_for_both_roles(self, enc, monkeypatch):
+        # two levels of the stylized image, two of the target: 4 encoder passes
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return encode(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("restyle") and mod is not None:
+                for attr, value in list(vars(mod).items()):
+                    if value is encode:
+                        monkeypatch.setattr(mod, attr, counting)
+        content_loss(rand_img(7, 32), rand_img(8, 32), level=1, depth=2, enc=enc)
+        assert len(calls) == 4
 
 
 class TestStyleLoss:
@@ -134,7 +151,8 @@ class TestTotalLoss:
         weights = LossWeights(style_per_level=(1.0, 5.0, 8.0))
         constant = np.full((16, 16, 3), 0.25, dtype=np.float32)
         targets = image_targets(constant, constant, 1, enc)
-        loss = level_objective(Tensor(to_chw(constant)), targets, 3, enc, weights)[0]
+        stylized = Tensor(to_chw(constant))
+        loss = combine_losses(*level_terms(stylized, targets, enc), tv_loss(stylized), 3, weights)
         assert loss.item() == 0.0
 
     def test_linear_in_style_component(self):
@@ -172,6 +190,31 @@ class TestTotalLoss:
             assert t.grad.dtype == np.float32
             assert t.grad == np.float32(w)
 
+    def test_sample_objective_is_the_sum_of_its_parts(self, enc):
+        """The training objective is `combine_losses` of `level_terms` and
+        `tv_loss` on the recovering clamp, and of the mean square of the
+        decoder's residual on a zero error bundle, bit for bit."""
+        params = make_level_params([3, 1], channels=CHANNELS)
+        weights = LossWeights(style_per_level=(1.0, 5.0))
+        targets = image_targets(Tensor(to_chw(rand_img(40, 32))), Tensor(to_chw(rand_img(41, 32))),
+                                2, enc)
+        icing = Tensor(to_chw(rand_img(42, 32)))
+        got = sample_objective(icing, targets, params, enc, 1, weights)
+
+        c_stack, s_grams = targets[0][0][0], targets[1][0][1]
+        stylized = recovering_clamp01(ad.add(icing, etnet_forward(c_stack, s_grams, icing,
+                                                                  params, enc)))
+        zero = ErrorBundle(content=Tensor(np.zeros_like(c_stack.stages[-1].data)),
+                           style=tuple(Tensor(np.zeros((f.shape[0],) * 2, dtype=np.float32))
+                                       for f in c_stack.stages))
+        zero_res, _ = run_decoder(zero, c_stack, params)
+        l_pc, l_ps = level_terms(stylized, targets, enc)
+        l_tv = tv_loss(stylized)
+        total = combine_losses(l_pc, l_ps, l_tv, 1, weights,
+                               zero_sq=ad.mean_all(ad.mul(zero_res, zero_res)))
+        for a, b in zip(got, (total, l_pc, l_ps, l_tv)):
+            assert a.dtype == b.dtype and a.data.tobytes() == b.data.tobytes()
+
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_through_losses(self, seed, enc):
         enc64 = enc.astype(np.float64)
@@ -183,7 +226,8 @@ class TestTotalLoss:
             s = Tensor(rng.random((3, 16, 16)), dtype=np.float64)
 
             def forward():
-                return level_objective(cs, image_targets(c, s, 2, enc64), 2, enc64, weights)[0]
+                return combine_losses(*level_terms(cs, image_targets(c, s, 2, enc64), enc64),
+                                      tv_loss(cs), 2, weights)
 
             return [cs], forward
         assert gradcheck.check_gradients(build, seed, max_coords=40) < 1e-4
@@ -347,8 +391,8 @@ class TestTrainLevel:
         assert last < first
 
     def test_saturated_outputs_recover(self, enc):
-        # the coarsest level starts from a zero estimate: its raw output
-        # (estimate plus residual) should move into [0, 1] as it trains
+        # the coarsest level's raw output (start estimate plus residual)
+        # should move into [0, 1] as it trains
         cfg = tiny_config(steps=60)
         contents, styles = make_corpus(CorpusSpec(seed=cfg.seed, size=cfg.image_size,
                                                   content_count=cfg.content_count,
@@ -359,7 +403,8 @@ class TestTrainLevel:
             for c in contents:
                 for s in styles:
                     c2, s2 = downsample(c), downsample(s)
-                    raw = etnet_forward(c2, s2, start_estimate(c2), params, enc).data
+                    icing = start_estimate(c2)
+                    raw = to_chw(icing) + etnet_forward(c2, s2, icing, params, enc).data
                     shares.append(np.mean((raw < 0) | (raw > 1)))
             return float(np.mean(shares))
 
