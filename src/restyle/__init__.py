@@ -7,7 +7,7 @@ from .encoder import Encoder, ErrorBundle, FeatureStack, compute_errors, encode,
     make_encoder
 from .errors import CheckpointError, ConfigError, ContractError, PpmParseError, \
     TrainingDiverged
-from .images import build_level_inputs, downsample, load_ppm, save_ppm, upsample
+from .images import downsample, load_ppm, save_ppm, upsample
 from .stylizer import PyramidModel, StylizeResult, refine_external, refine_level, stylize, \
     stylize_alpha
 from .trainer import Adam, EvalResult, LossWeights, content_loss, evaluate, style_loss, \

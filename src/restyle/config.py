@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .encoder import DEFAULT_CHANNELS, NUM_STAGES, side_multiple
 from .errors import ConfigError
 
 
@@ -12,7 +13,7 @@ from .errors import ConfigError
 class RunConfig:
     seed: int = 7
     image_size: int = 96
-    channels: tuple[int, ...] = (16, 32, 64, 128)
+    channels: tuple[int, ...] = DEFAULT_CHANNELS
     levels: int = 3
     lr: float = 1e-3
     steps: int = 600
@@ -36,13 +37,13 @@ class RunConfig:
         for name, v in weights.items():
             if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        if len(self.channels) != 4:
-            raise ConfigError(f"channels needs 4 values, got {len(self.channels)}")
+        if len(self.channels) != NUM_STAGES:
+            raise ConfigError(f"channels needs {NUM_STAGES} values, got {len(self.channels)}")
         if self.levels < 1:
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
         if len(self.lambda_ps) != self.levels:
             raise ConfigError(f"lambda_ps needs {self.levels} values, got {len(self.lambda_ps)}")
-        need = 8 * 2 ** (self.levels - 1)
+        need = side_multiple(self.levels)
         if self.image_size < need or self.image_size % need:
             raise ConfigError(f"image_size {self.image_size} not positive and divisible by {need}")
         if not all(c > 0 for c in self.channels):

@@ -24,6 +24,12 @@ NUM_STAGES = 4
 RELU_GAIN = float(np.sqrt(2.0))
 
 
+def side_multiple(levels=1):
+    """What an input's sides must divide by for a walk over `levels` pyramid levels:
+    2 per level below the top, times 2 per pooling of the encoder at the coarsest."""
+    return 2 ** (levels - 1 + NUM_STAGES - 1)
+
+
 @dataclass
 class Encoder:
     """Four fixed stages; stage i outputs channels[i-1] maps at scale 1/2^(i-1)."""
@@ -179,8 +185,9 @@ def encode(img, enc: Encoder) -> FeatureStack:
     if x.data.ndim != 3 or x.shape[0] != 3:
         raise ContractError(f"encode: expected 3-channel input, got {x.shape}")
     h, w = x.shape[1], x.shape[2]
-    if h % 8 or w % 8:
-        raise ContractError(f"encode: dimensions {h}x{w} must be divisible by 8")
+    need = side_multiple()
+    if h % need or w % need:
+        raise ContractError(f"encode: dimensions {h}x{w} must be divisible by {need}")
     feats = []
     for i, stage in enumerate(enc.stages):
         x = _stage_forward(x, stage, pool=i > 0)

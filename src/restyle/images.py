@@ -1,7 +1,8 @@
 """Bit-exact PPM image I/O and pyramid resampling.
 
 Images are numpy arrays of shape (H, W, 3), float32, values in [0, 1].
-The only wire format is binary PPM (P6, maxval 255).
+The only wire format is binary PPM (P6, maxval 255). `pyramid` halves an image
+once per level below the top; the sides a walk takes are `encoder.side_multiple`'s.
 """
 
 from __future__ import annotations
@@ -108,24 +109,6 @@ def pyramid(img, levels):
     for _ in range(levels - 1):
         chain.append(downsample(chain[-1]))
     return chain
-
-
-def build_level_inputs(content, style, levels):
-    """Per-level (content, style) pairs, coarsest (level `levels`) first.
-
-    Level k is the input downsampled (k-1) times; level 1 is full resolution.
-    """
-    _validate(content, "build_level_inputs")
-    _validate(style, "build_level_inputs")
-    if content.shape != style.shape:
-        raise ContractError(f"build_level_inputs: content {content.shape} vs style {style.shape}")
-    if levels < 1:
-        raise ContractError(f"build_level_inputs: levels must be >= 1, got {levels}")
-    h, w, _ = content.shape
-    div = 2 ** (levels - 1)
-    if h % div or w % div:
-        raise ContractError(f"build_level_inputs: {h}x{w} not divisible by {div}")
-    return list(zip(pyramid(content, levels), pyramid(style, levels)))[::-1]
 
 
 def to_chw(img: np.ndarray) -> np.ndarray:

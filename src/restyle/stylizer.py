@@ -8,6 +8,8 @@ frozen prefix all call it. Each level's transition network predicts a
 signed residual which is added to the running estimate and clamped back to
 [0,1]. The coarsest level starts from `start_estimate` (all zeros), the one
 place the initial estimate is chosen; level calibration calls it too.
+`stylize` and `refine_external` check their pair once, in `_level_pairs`, by the
+one side rule, `encoder.side_multiple(levels)`: 8 * 2^(levels-1).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import Encoder, mix_bundles  # noqa: F401 (re-exported)
+from .encoder import Encoder, mix_bundles, side_multiple  # noqa: F401 (mix_bundles re-exported)
 from .errors import ContractError
-from .images import build_level_inputs, from_chw, upsample
+from .images import _validate, from_chw, pyramid, upsample
 from .transition import LevelParams, etnet_forward
 
 
@@ -71,13 +73,19 @@ def walk(icing, steps, enc: Encoder, alpha: float | None = None) -> list[np.ndar
 
 
 def _level_pairs(name, content, style, level):
-    """`build_level_inputs` for a walk from `level`, after checking that the sides
-    divide by 8 * 2^(level-1), as encoding the coarsest level needs."""
-    h, w = content.shape[0], content.shape[1]
-    need = 8 * 2 ** (level - 1)
+    """Per-level (content, style) pairs for a walk from `level`, coarsest first, of
+    two (H, W, 3) images of one shape whose sides divide by `side_multiple(level)`."""
+    for img in (content, style):
+        _validate(img, name)
+    if content.shape != style.shape:
+        raise ContractError(f"{name}: content {content.shape} vs style {style.shape}")
+    if level < 1:
+        raise ContractError(f"{name}: levels must be >= 1, got {level}")
+    h, w, _ = content.shape
+    need = side_multiple(level)
     if h % need or w % need:
         raise ContractError(f"{name}: dimensions {h}x{w} must be divisible by {need}")
-    return build_level_inputs(content, style, levels=level)
+    return list(zip(pyramid(content, level), pyramid(style, level)))[::-1]
 
 
 def _walk_pairs(icing, pairs, model: PyramidModel, alpha=None) -> StylizeResult:

@@ -72,10 +72,10 @@ from .transition import LevelParams, calibrate, etnet_forward, level_layout, mak
 
 @dataclass(frozen=True)
 class LossWeights:
-    content: float = 1.0
-    style_per_level: tuple[float, ...] = (1.0, 5.0, 8.0)  # level 1 = full resolution
-    tv: float = 1e-6
-    zero_pair: float = 0.1
+    content: float = RunConfig.lambda_pc
+    style_per_level: tuple[float, ...] = RunConfig.lambda_ps  # level 1 = full resolution
+    tv: float = RunConfig.lambda_tv
+    zero_pair: float = RunConfig.zero_pair_weight
 
     @staticmethod
     def from_config(cfg: RunConfig):

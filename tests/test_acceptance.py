@@ -41,9 +41,10 @@ def report(number, ok, detail):
     return ok
 
 
-@pytest.fixture(scope="module")
-def trained():
-    cfg_by_level = {k: RunConfig(steps=s, **ACCEPT).validate()
+def train_model(seed=ACCEPT["seed"]):
+    """The acceptance model, its level-3 config, its test pairs and the training
+    seconds; `seed` draws the model, the corpus and the test pairs."""
+    cfg_by_level = {k: RunConfig(steps=s, **dict(ACCEPT, seed=seed)).validate()
                     for k, s in STEPS_PER_LEVEL.items()}
     base = cfg_by_level[3]
     assert all(s <= 2000 for s in STEPS_PER_LEVEL.values())
@@ -61,6 +62,11 @@ def trained():
     model = PyramidModel(encoder=enc, levels=[frozen[1], frozen[2], frozen[3]])
     pairs = make_test_pairs(spec, TEST_PAIRS)
     return model, base, pairs, train_seconds
+
+
+@pytest.fixture(scope="module")
+def trained():
+    return train_model()
 
 
 def test_criterion_1_gradient_suite():

@@ -4,15 +4,18 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from restyle import autodiff, checkpoint, cli, encoder, gradcheck, trainer, transition
 from restyle.cli import main
+from restyle.config import RunConfig, load_config
 from restyle.corpus import CorpusSpec, make_test_pairs
+from restyle.errors import ConfigError
 from restyle.images import load_ppm, save_ppm
 
 from test_parsers import edits, mutate
@@ -308,6 +311,20 @@ class TestRefineAndEval:
         assert capfd.readouterr().out == ""
         assert (tmp_path / "a.ppm").exists() and (tmp_path / "b.ppm").exists()
 
+    def test_stylize_is_silent_through_interpreter_exit(self, tmp_path, trained):
+        """`python -m restyle stylize` in a fresh interpreter writes nothing to
+        stdout or stderr, also while the interpreter shuts down."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "restyle", "stylize",
+                               "--content", str(trained / "content"),
+                               "--style", str(trained / "style"),
+                               "--model", str(trained / "model"),
+                               "--out", str(tmp_path / "o.ppm")],
+                              env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert read_image(tmp_path / "o.ppm").shape == (32, 32, 3)
+
     def test_eval_table_shape(self, tmp_path, trained):
         tmp, model = tmp_path, str(trained / "model")
         pairs = make_test_pairs(CorpusSpec(seed=4, size=32, content_count=2, style_count=2), 2)
@@ -482,4 +499,53 @@ def test_cli_exit_codes_property(trained, tmp_path_factory, capsys, command, dra
                 target = files[ops[0][1] % len(files)]
                 target.write_bytes(bytes(mutate(target.read_bytes(), ops, int)))
     assert main(argv) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# (key, value): a value at an edge of the field's range, or just past it
+EDGE_VALUES = {"int": ["0", "1", "2", "-1", "16"], "float": ["0", "1e-9", "1e30", "nan", "-1"],
+               "tuple[int, ...]": ["1,1,1,1", "16,8,4,2", "4,6,8"],
+               "tuple[float, ...]": ["0,0", "1,5,8", "1e30,5", "1"]}
+TRAIN_VALUES = [(f.name, v) for f in fields(RunConfig) if f.name != "model_dir"
+                for v in EDGE_VALUES[f.type]]
+
+
+def tiny_config(ops, values, model_dir):
+    """TINY with its `values` replaced or added, then mutated by `ops`; the
+    model_dir line is set last, so every write stays under `model_dir`."""
+    lines = [line for line in TINY.splitlines() if not line.startswith("model_dir")]
+    lines = [line for line in lines if line.split(" = ")[0] not in values]
+    body = "".join(mutate("\n".join(lines + [f"{k} = {v}" for k, v in values.items()]),
+                          ops, chr))
+    return f"{body}\nmodel_dir = {model_dir}\n"
+
+
+def trains_like_tiny(cfg_path):
+    """Whether the config at `cfg_path` is invalid or trains about as fast as
+    TINY; a valid mutation can raise a size, a width or a count tenfold."""
+    try:
+        cfg = load_config(cfg_path)
+    except ConfigError:
+        return True
+    return (cfg.image_size <= 32 and max(cfg.channels) <= 16 and cfg.steps * cfg.batch <= 6
+            and cfg.content_count + cfg.style_count <= 20)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.tuples(edits, st.just({})),
+                 st.tuples(st.just([]), st.lists(st.sampled_from(TRAIN_VALUES), min_size=1,
+                                                 max_size=3).map(dict))))
+def test_cli_train_exit_codes_property(tmp_path_factory, capsys, change):
+    """train, at level 2 and then level 1, exits 0, 2 or 3 without a traceback
+    on TINY with 1-4 characters mutated or 1-3 values replaced."""
+    tmp = tmp_path_factory.mktemp("train")
+    cfg_path = tmp / "run.cfg"
+    cfg_path.write_text(tiny_config(*change, tmp / "model"), encoding="utf-8")
+    assume(trains_like_tiny(cfg_path))
+    # a weight or rate of 1e30 overflows float32 on the way, as in
+    # test_non_finite_gradient_exits_3; the exit code is what is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in (2, 1):
+            assert main(["train", "--config", str(cfg_path), "--level", str(level)]) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err

@@ -116,39 +116,14 @@ class TestResamplingExact:
 
 
 class TestLevelInputs:
-    def test_halving_schedule(self):
-        rng = np.random.default_rng(5)
-        c = rng.random((96, 96, 3)).astype(np.float32)
-        s = rng.random((96, 96, 3)).astype(np.float32)
-        pairs = images.build_level_inputs(c, s, levels=3)
-        assert [p[0].shape[0] for p in pairs] == [24, 48, 96]
-
-    def test_single_level_is_original(self):
-        img = np.zeros((8, 8, 3), dtype=np.float32)
-        pairs = images.build_level_inputs(img, img, levels=1)
-        assert len(pairs) == 1
-        assert pairs[0][0] is img
-
-    def test_coarsest_equals_double_downsample(self):
-        rng = np.random.default_rng(6)
-        c = rng.random((32, 32, 3)).astype(np.float32)
-        pairs = images.build_level_inputs(c, c, levels=3)
-        np.testing.assert_array_equal(pairs[0][0], images.downsample(images.downsample(c)))
-
-    def test_indivisible_raises(self):
-        img = np.zeros((10, 10, 3), dtype=np.float32)
-        with pytest.raises(ContractError):
-            images.build_level_inputs(img, img, levels=3)
-
     def test_pairs_are_reversed_pyramids(self):
-        c, s = np.random.default_rng(8).random((2, 16, 24, 3)).astype(np.float32)
+        """`pyramid` gives each level's input, finest first: the image itself,
+        then each level the `downsample` of the one before."""
+        c = np.random.default_rng(8).random((16, 24, 3)).astype(np.float32)
         chain = images.pyramid(c, 3)
         assert len(chain) == 3 and chain[0] is c
         for fine, coarse in zip(chain, chain[1:]):
             np.testing.assert_array_equal(coarse, images.downsample(fine))
-        want = list(zip(chain, images.pyramid(s, 3)))[::-1]
-        for got, ref in zip(images.build_level_inputs(c, s, levels=3), want, strict=True):
-            np.testing.assert_array_equal(got, ref)
 
 
 class TestLayout:

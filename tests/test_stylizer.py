@@ -8,13 +8,13 @@ import pytest
 
 from restyle import autodiff as ad
 from restyle import encoder as enc_mod
-from restyle import trainer
+from restyle import images, trainer
 from restyle.config import RunConfig
 from restyle.encoder import compute_errors, make_encoder
 from restyle.errors import ContractError
 from restyle.images import from_chw
-from restyle.stylizer import (PyramidModel, mix_bundles, refine_external, refine_level,
-                              stylize, stylize_alpha)
+from restyle.stylizer import (PyramidModel, _level_pairs, mix_bundles, refine_external,
+                              refine_level, stylize, stylize_alpha)
 from restyle.transition import etnet_forward, make_level_params
 
 CHANNELS = (4, 6, 8, 10)
@@ -42,6 +42,60 @@ def zero_model():
 
 def rand_img(seed, size=96):
     return np.random.default_rng(seed).random((size, size, 3)).astype(np.float32)
+
+
+class TestLevelPairs:
+    """`_level_pairs`, the one check and split of a walk's (content, style) pair."""
+
+    def test_halving_schedule(self):
+        rng = np.random.default_rng(5)
+        c = rng.random((96, 96, 3)).astype(np.float32)
+        s = rng.random((96, 96, 3)).astype(np.float32)
+        pairs = _level_pairs("stylize", c, s, 3)
+        assert [p[0].shape[0] for p in pairs] == [24, 48, 96]
+
+    def test_single_level_is_original(self):
+        img = np.zeros((8, 8, 3), dtype=np.float32)
+        pairs = _level_pairs("stylize", img, img, 1)
+        assert len(pairs) == 1
+        assert pairs[0][0] is img
+
+    def test_coarsest_equals_double_downsample(self):
+        rng = np.random.default_rng(6)
+        c = rng.random((32, 32, 3)).astype(np.float32)
+        pairs = _level_pairs("stylize", c, c, 3)
+        np.testing.assert_array_equal(pairs[0][0], images.downsample(images.downsample(c)))
+
+    def test_indivisible_raises(self):
+        img = np.zeros((10, 10, 3), dtype=np.float32)
+        with pytest.raises(ContractError, match=r"^stylize: dimensions 10x10 must be "
+                                                r"divisible by 32$"):
+            _level_pairs("stylize", img, img, 3)
+
+    def test_pairs_are_reversed_pyramids(self):
+        c, s = np.random.default_rng(8).random((2, 32, 64, 3)).astype(np.float32)
+        want = list(zip(images.pyramid(c, 3), images.pyramid(s, 3)))[::-1]
+        for got, ref in zip(_level_pairs("stylize", c, s, 3), want, strict=True):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_rule_is_the_encoders(self):
+        """A walk from `level` needs sides that divide by `side_multiple(level)`:
+        8 for the encoder's poolings at the coarsest, times 2 per level below the top."""
+        assert [enc_mod.side_multiple(k) for k in (1, 2, 3)] == [8, 16, 32]
+        for level in (1, 2, 3):
+            need = enc_mod.side_multiple(level)
+            img = np.zeros((need, 3 * need, 3), dtype=np.float32)
+            assert _level_pairs("stylize", img, img, level)[0][0].shape == (8, 24, 3)
+            with pytest.raises(ContractError, match=f"divisible by {need}$"):
+                _level_pairs("stylize", img[:need // 2], img[:need // 2], level)
+
+    @pytest.mark.parametrize("bad", [None, np.zeros((8, 8), np.float32),
+                                     np.zeros((8, 8, 4), np.float32)])
+    def test_non_image_raises_naming_caller(self, bad):
+        img = np.zeros((8, 8, 3), dtype=np.float32)
+        for content, style in ((bad, img), (img, bad)):
+            with pytest.raises(ContractError, match=r"^refine_external: expected an \(H, W, 3\)"):
+                _level_pairs("refine_external", content, style, 1)
 
 
 class TestRefineLevel:
@@ -100,6 +154,16 @@ class TestStylize:
         img = rand_img(9, 48)[:40, :40]
         with pytest.raises(ContractError):
             stylize(img, img, model)
+
+    def test_content_and_style_sizes_differ(self, model):
+        """A pair of two sizes fails in stylize itself, naming it."""
+        with pytest.raises(ContractError, match=r"^stylize: content \(96, 96, 3\) vs style "
+                                                r"\(64, 64, 3\)$"):
+            stylize(rand_img(9), rand_img(10, 64), model)
+
+    def test_model_without_levels_raises(self, model):
+        with pytest.raises(ContractError, match=r"^stylize: levels must be >= 1, got 0$"):
+            stylize(rand_img(9), rand_img(10), PyramidModel(encoder=model.encoder, levels=[]))
 
     def test_deterministic(self, model):
         a = stylize(rand_img(10), rand_img(11), model)
