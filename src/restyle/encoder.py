@@ -199,10 +199,12 @@ def gram_stack(stack: FeatureStack):
     return tuple(ad.gram(f) for f in stack.stages)
 
 
-def errors_between(target_content_feat, target_style_grams, current: FeatureStack) -> ErrorBundle:
-    """Error bundle of a current stack against precomputed targets."""
-    content = ad.sub(target_content_feat, current.stages[-1])
-    style = tuple(ad.sub(tg, ad.gram(f)) for tg, f in zip(target_style_grams, current.stages))
+def errors_between(target_content_feat, target_style_grams, current) -> ErrorBundle:
+    """Error bundle of `current`, a (stack, Gram stack) pair as
+    `TargetCache.features` gives, against precomputed targets; only subtracts."""
+    stack, grams = current
+    content = ad.sub(target_content_feat, stack.stages[-1])
+    style = tuple(ad.sub(tg, g) for tg, g in zip(target_style_grams, grams))
     return ErrorBundle(content=content, style=style)
 
 
@@ -222,16 +224,18 @@ def pair_errors(content, style, current, enc: Encoder,
 
     `content` is an image or its `FeatureStack`, and `style` an image or its
     `gram_stack`, so targets encoded once can serve many calls; each image
-    given is encoded once. With `alpha` the bundle is mixed with the errors
-    toward the content's own Grams, alpha*style + (1-alpha)*content: the
-    runtime style-strength trade-off.
+    given is encoded once. `current`'s Gram stack is taken once, and its
+    (stack, Gram stack) pair serves every `errors_between` call. With `alpha`
+    the bundle is mixed with the errors toward the content's own Grams,
+    alpha*style + (1-alpha)*content: the runtime style-strength trade-off.
     """
     f_in = encode(current, enc)
+    cur = (f_in, gram_stack(f_in))
     c_stack = content if isinstance(content, FeatureStack) else encode(content, enc)
     s_grams = style if isinstance(style, tuple) else gram_stack(encode(style, enc))
-    bundle = errors_between(c_stack.stages[-1], s_grams, f_in)
+    bundle = errors_between(c_stack.stages[-1], s_grams, cur)
     if alpha is not None:
-        toward_content = errors_between(c_stack.stages[-1], gram_stack(c_stack), f_in)
+        toward_content = errors_between(c_stack.stages[-1], gram_stack(c_stack), cur)
         bundle = mix_bundles(bundle, toward_content, alpha)
     return bundle, f_in
 

@@ -114,11 +114,11 @@ def pyramid(img, levels):
 def to_chw(img: np.ndarray) -> np.ndarray:
     """(H, W, 3) image -> (3, H, W) float32 feature layout."""
     _validate(img, "to_chw")
-    return np.ascontiguousarray(img.transpose(2, 0, 1).astype(np.float32))
+    return np.ascontiguousarray(img.transpose(2, 0, 1), dtype=np.float32)
 
 
 def from_chw(chw: np.ndarray) -> np.ndarray:
     """(3, H, W) -> (H, W, 3) float32 image layout."""
     if chw.ndim != 3 or chw.shape[0] != 3:
         raise ContractError(f"from_chw: expected (3, H, W), got {chw.shape}")
-    return np.ascontiguousarray(chw.transpose(1, 2, 0).astype(np.float32))
+    return np.ascontiguousarray(chw.transpose(1, 2, 0), dtype=np.float32)

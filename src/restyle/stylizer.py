@@ -53,7 +53,7 @@ def refine_level(icing, content, style, params: LevelParams, enc: Encoder,
     if any(shape != icing.shape for shape in shapes):
         raise ContractError(f"refine_level: resolution mismatch {' vs '.join(map(str, shapes))}")
     residual = etnet_forward(content, style, icing, params, enc, alpha)
-    return np.clip(icing + from_chw(residual.data), 0.0, 1.0).astype(np.float32)
+    return np.clip(icing + from_chw(residual.data), 0.0, 1.0).astype(np.float32, copy=False)
 
 
 def start_estimate(coarsest_content):

@@ -55,11 +55,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint
-from .autodiff import Tensor
 from .config import RunConfig, format_config, load_config, read_text
 from .corpus import CorpusSpec, make_corpus
-from .encoder import Encoder, ErrorBundle, FeatureStack, _as_image_tensor, encode, \
-    encoder_layout, gram_stack, make_encoder, pair_errors
+from .encoder import Encoder, _as_image_tensor, encode, encoder_layout, errors_between, \
+    gram_stack, make_encoder, pair_errors
 from .errors import CheckpointError, ConfigError, ContractError, TrainingDiverged
 from .images import pyramid, upsample
 from .stylizer import PyramidModel, start_estimate, stylize, walk
@@ -210,25 +209,18 @@ def level_terms(stylized, targets, enc):
     return functools.reduce(ad.add, content), functools.reduce(ad.add, style)
 
 
-def _zero_bundle(stack: FeatureStack):
-    """Errors of an image against itself are exactly zero."""
-    c4 = stack.stages[-1]
-    content = Tensor(np.zeros_like(c4.data))
-    style = tuple(Tensor(np.zeros((f.shape[0], f.shape[0]), dtype=f.dtype))
-                  for f in stack.stages)
-    return ErrorBundle(content=content, style=style)
-
-
 def sample_objective(icing_t, targets, params: LevelParams, enc, level,
                      weights: LossWeights):
     """The training objective of one sample, (total, l_pc, l_ps, l_tv): the
     level's network refines the estimate `icing_t` toward `targets` (as
     `level_terms` takes them), its losses are taken on the recovering clamp,
-    and the zero-pair term asks for a zero residual on the content's own features."""
-    (c_stack, _), (_, s_grams) = targets[0][0], targets[1][0]
+    and the zero-pair term asks for a zero residual on the content's own features,
+    whose errors against themselves are exactly zero (and untracked)."""
+    (c_stack, c_grams), (_, s_grams) = targets[0][0], targets[1][0]
     residual = etnet_forward(c_stack, s_grams, icing_t, params, enc)
     stylized = recovering_clamp01(ad.add(icing_t, residual))
-    zero_res, _ = run_decoder(_zero_bundle(c_stack), c_stack, params)
+    zero = errors_between(c_stack.stages[-1], c_grams, (c_stack, c_grams))
+    zero_res, _ = run_decoder(zero, c_stack, params)
     l_pc, l_ps = level_terms(stylized, targets, enc)
     l_tv = tv_loss(stylized)
     total = combine_losses(l_pc, l_ps, l_tv, level, weights,
@@ -240,6 +232,8 @@ def sample_objective(icing_t, targets, params: LevelParams, enc, level,
 # optimizer
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the largest gradient element whose float32 square `Adam.step` can hold
+ADAM_MAX_GRAD = np.sqrt(np.finfo(np.float32).max)
 
 
 class Adam:
@@ -409,9 +403,10 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
         for name, t in params.named_tensors().items():
             if t.grad is not None:
                 t.grad /= cfg.batch
-                if not np.all(np.isfinite(t.grad)):
-                    raise TrainingDiverged(f"level {level} step {step}: non-finite gradient "
-                                           f"in {name}")
+                # false for NaN and inf too
+                if not np.all(np.abs(t.grad) <= ADAM_MAX_GRAD):
+                    raise TrainingDiverged(f"level {level} step {step}: gradient in {name} "
+                                           f"is non-finite or beyond Adam's {ADAM_MAX_GRAD:.4g}")
         opt.step(cosine_lr(cfg.lr, step, cfg.steps))
         cells = "\t".join(repr(float(v)) for v in means)
         log_lines.append(f"{step}\t{cells}")

@@ -160,6 +160,18 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("error: numeric:")
         assert not (tmp_path / "m" / "level2.ckpt").exists()
 
+    def test_gradient_too_large_for_adam_exits_3(self, tmp_path, capsys):
+        # finite gradients whose float32 squares would overflow in Adam.step;
+        # no np.errstate, so an overflow warning would fail the test
+        cfg_path = tmp_path / "large.cfg"
+        cfg_path.write_text(TINY.format(dir=tmp_path / "m").replace("steps = 2", "steps = 5")
+                            + "lambda_pc = 1e30\n")
+        assert main(["train", "--config", str(cfg_path), "--level", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric:") and err.count("\n") == 1
+        assert "gradient" in err
+        assert not (tmp_path / "m" / "level2.ckpt").exists()
+
 
 class TestStylizeCommand:
     def test_roundtrip_and_intermediates(self, tmp_path, trained):
@@ -543,9 +555,7 @@ def test_cli_train_exit_codes_property(tmp_path_factory, capsys, change):
     cfg_path = tmp / "run.cfg"
     cfg_path.write_text(tiny_config(*change, tmp / "model"), encoding="utf-8")
     assume(trains_like_tiny(cfg_path))
-    # a weight or rate of 1e30 overflows float32 on the way, as in
-    # test_non_finite_gradient_exits_3; the exit code is what is checked
-    with np.errstate(over="ignore", invalid="ignore"):
-        for level in (2, 1):
-            assert main(["train", "--config", str(cfg_path), "--level", str(level)]) in (0, 2, 3)
+    # no np.errstate: a weight or rate of 1e30 must stop at a check, not warn
+    for level in (2, 1):
+        assert main(["train", "--config", str(cfg_path), "--level", str(level)]) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err

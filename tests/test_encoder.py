@@ -6,7 +6,8 @@ import pytest
 from restyle import autodiff as ad
 from restyle import gradcheck
 from restyle.autodiff import Tensor
-from restyle.encoder import compute_errors, encode, fuse, make_encoder
+from restyle.encoder import NUM_STAGES, compute_errors, encode, fuse, make_encoder, \
+    pair_errors
 from restyle.errors import ContractError
 
 
@@ -90,6 +91,20 @@ class TestComputeErrors:
     def test_dimension_mismatch_raises(self, enc):
         with pytest.raises(ContractError):
             compute_errors(rand_img(0, 24), rand_img(1, 32), rand_img(2, 24), enc)
+
+    def test_alpha_takes_each_gram_stack_once(self, enc, monkeypatch):
+        """With alpha, the content, the style and the current image each have
+        their Gram stack taken once: the current one serves both bundles."""
+        calls = []
+        real = ad.gram
+
+        def counting(f):
+            calls.append(f.shape)
+            return real(f)
+
+        monkeypatch.setattr(ad, "gram", counting)
+        pair_errors(rand_img(15, 24), rand_img(16, 24), rand_img(17, 24), enc, alpha=0.5)
+        assert len(calls) == 3 * NUM_STAGES
 
 
 class TestFuse:

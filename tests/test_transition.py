@@ -371,7 +371,8 @@ class TestEtnetForward:
         img = rand_img(5, 16)
         f_in = encode(img, enc)
         from restyle.encoder import errors_between, gram_stack
-        bundle = errors_between(encode(img, enc).stages[-1], gram_stack(encode(img, enc)), f_in)
+        bundle = errors_between(encode(img, enc).stages[-1], gram_stack(encode(img, enc)),
+                                (f_in, gram_stack(f_in)))
         assert np.max(np.abs(bundle.content.data)) == 0.0
         residual, internals = run_decoder(bundle, f_in, params)
         for err in internals["err"]:
