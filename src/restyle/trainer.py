@@ -6,6 +6,8 @@ reach only the level under training, and all loss norms are mean-squared so
 the weight schedule transfers across resolutions. A zero-pair regularizer
 drives the decoder to emit a zero residual when content, style, and estimate
 coincide, which the feature branch of the architecture does not guarantee.
+Every error-side map of that zero bundle is exactly 0, so its term runs the
+decoder's feature branch alone (`transition.zero_error_residual`).
 
 A level starts from seeded draws that `transition.calibrate` rescales on
 `probe_cases`. `sample_objective` is the one training objective: the
@@ -15,7 +17,8 @@ and smoothness terms of the refined image and the zero-pair term, summed by
 stack) lists of the content and of the style, this level first: the form
 `TargetCache.features` returns, which the frozen walk also reads, and
 `image_targets` builds from images. Training, evaluation, `content_loss` and
-`style_loss` all score through `level_terms`.
+`style_loss` all score through `level_terms`. Above the trained level only
+the stacks' deepest stage is read, so the cache keeps only that stage there.
 
 Training takes its losses on `recovering_clamp01(estimate + residual)`, not
 on `ad.clamp01`: the value is the same clamp, but a pixel outside [0, 1]
@@ -48,6 +51,7 @@ import functools
 import itertools
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,13 +61,13 @@ from . import autodiff as ad
 from . import checkpoint
 from .config import RunConfig, format_config, load_config, read_text
 from .corpus import CorpusSpec, make_corpus
-from .encoder import Encoder, _as_image_tensor, encode, encoder_layout, errors_between, \
+from .encoder import Encoder, FeatureStack, _as_image_tensor, encode, encoder_layout, \
     gram_stack, make_encoder, pair_errors
 from .errors import CheckpointError, ConfigError, ContractError, TrainingDiverged
 from .images import pyramid, upsample
 from .stylizer import PyramidModel, start_estimate, stylize, walk
 from .transition import LevelParams, calibrate, etnet_forward, level_layout, make_level_params, \
-    run_decoder
+    zero_error_residual
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +219,12 @@ def sample_objective(icing_t, targets, params: LevelParams, enc, level,
     level's network refines the estimate `icing_t` toward `targets` (as
     `level_terms` takes them), its losses are taken on the recovering clamp,
     and the zero-pair term asks for a zero residual on the content's own features,
-    whose errors against themselves are exactly zero (and untracked)."""
-    (c_stack, c_grams), (_, s_grams) = targets[0][0], targets[1][0]
+    whose errors against themselves are exactly zero: `zero_error_residual`
+    runs only the decoder's feature branch for it."""
+    c_stack, s_grams = targets[0][0][0], targets[1][0][1]
     residual = etnet_forward(c_stack, s_grams, icing_t, params, enc)
     stylized = recovering_clamp01(ad.add(icing_t, residual))
-    zero = errors_between(c_stack.stages[-1], c_grams, (c_stack, c_grams))
-    zero_res, _ = run_decoder(zero, c_stack, params)
+    zero_res = zero_error_residual(c_stack, params)
     l_pc, l_ps = level_terms(stylized, targets, enc)
     l_tv = tv_loss(stylized)
     total = combine_losses(l_pc, l_ps, l_tv, level, weights,
@@ -275,17 +279,24 @@ def cosine_lr(base, step, total):
 
 class TargetCache:
     """Lazy per-(image, level) pyramids, encoder stacks and Gram tables
-    (untracked) of a corpus. An image is keyed by (role, idx): role "c" is
-    `contents[idx]`, role "s" is `styles[idx]`.
+    (untracked) of a corpus, for training level `level`. An image is keyed by
+    (role, idx): role "c" is `contents[idx]`, role "s" is `styles[idx]`.
+
+    At `level` an entry keeps the whole stack and Gram stack: the trained
+    level's decoder input and style terms read every stage. Above it an entry
+    keeps every Gram, which the frozen walk's error bundles read, but only the
+    stack's deepest stage, the one stage its readers take (the walk's content
+    error and `level_terms`' coarser content terms).
 
     The two samples of a concurrent batch share one cache without a lock:
     when both miss the same entry, both compute it, bit for bit the same,
     and the later store is kept; neither waits for the other's encode.
     """
 
-    def __init__(self, enc: Encoder, depth: int, contents, styles):
+    def __init__(self, enc: Encoder, depth: int, level: int, contents, styles):
         self.enc = enc
         self.depth = depth
+        self.level = level
         self._corpus = {"c": contents, "s": styles}
         self._images = {}
         self._feats = {}
@@ -298,11 +309,15 @@ class TargetCache:
         return self._images[key]
 
     def features(self, role, idx, level):
-        """(stack Tensors, gram Tensors) of the level-`level` version of the image."""
+        """(stack Tensors, gram Tensors) of the level-`level` version of the image;
+        above the trained level the stack holds the deepest stage only."""
         key = (role, idx, level)
         if key not in self._feats:
             stack = encode(self.level_images(role, idx)[level - 1], self.enc)
-            self._feats[key] = (stack, gram_stack(stack))
+            grams = gram_stack(stack)
+            if level > self.level:
+                stack = FeatureStack(stages=stack.stages[-1:])
+            self._feats[key] = (stack, grams)
         return self._feats[key]
 
 
@@ -376,7 +391,7 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
     for j, p in frozen.items():
         p.set_trainable(False)
     opt = Adam(params.tensors())
-    cache = TargetCache(enc, depth, contents, styles)
+    cache = TargetCache(enc, depth, level, contents, styles)
     samples = _sample_keys(np.random.default_rng([cfg.seed, 100 + level]),
                            len(contents), len(styles))
     concurrent = cfg.batch > 1 and cfg.image_size >> (level - 1) >= CONCURRENT_MIN_SIDE
@@ -386,30 +401,34 @@ def train_level(cfg: RunConfig, level: int, enc: Encoder, frozen: dict[int, Leve
     def run(level_params, keys):
         return _train_sample(cfg, level, enc, frozen, level_params, cache, weights, *keys)
 
-    for step in range(cfg.steps):
-        opt.zero_grad()
-        batch = list(itertools.islice(samples, cfg.batch))
-        if blas is None:
-            rows = [run(params, keys) for keys in batch]
-        else:
-            with _one_blas_thread(*blas):
-                rows = _run_in_pairs(run, params, batch)
-        sums = np.zeros(4)
-        for row in rows:
-            sums += row
-        means = sums / cfg.batch
-        if not np.all(np.isfinite(means)):
-            raise TrainingDiverged(f"level {level} step {step}: non-finite loss {means}")
-        for name, t in params.named_tensors().items():
-            if t.grad is not None:
-                t.grad /= cfg.batch
-                # false for NaN and inf too
-                if not np.all(np.abs(t.grad) <= ADAM_MAX_GRAD):
-                    raise TrainingDiverged(f"level {level} step {step}: gradient in {name} "
-                                           f"is non-finite or beyond Adam's {ADAM_MAX_GRAD:.4g}")
-        opt.step(cosine_lr(cfg.lr, step, cfg.steps))
-        cells = "\t".join(repr(float(v)) for v in means)
-        log_lines.append(f"{step}\t{cells}")
+    # every overflow surfaces as a refused loss or gradient below, so numpy's
+    # warnings would only precede the one TrainingDiverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            opt.zero_grad()
+            batch = list(itertools.islice(samples, cfg.batch))
+            if blas is None:
+                rows = [run(params, keys) for keys in batch]
+            else:
+                with _one_blas_thread(*blas):
+                    rows = _run_in_pairs(run, params, batch)
+            sums = np.zeros(4)
+            for row in rows:
+                sums += row
+            means = sums / cfg.batch
+            if not np.all(np.isfinite(means)):
+                raise TrainingDiverged(f"level {level} step {step}: non-finite loss {means}")
+            for name, t in params.named_tensors().items():
+                if t.grad is not None:
+                    t.grad /= cfg.batch
+                    # false for NaN and inf too
+                    if not np.all(np.abs(t.grad) <= ADAM_MAX_GRAD):
+                        raise TrainingDiverged(
+                            f"level {level} step {step}: gradient in {name} "
+                            f"is non-finite or beyond Adam's {ADAM_MAX_GRAD:.4g}")
+            opt.step(cosine_lr(cfg.lr, step, cfg.steps))
+            cells = "\t".join(repr(float(v)) for v in means)
+            log_lines.append(f"{step}\t{cells}")
     return TrainResult(params=params, log_lines=log_lines)
 
 
@@ -564,24 +583,30 @@ def save_level_checkpoint(path, params: LevelParams):
 
 
 def init_model_dir(model_dir, cfg: RunConfig, enc: Encoder):
-    """Write (or verify) the config snapshot and encoder checkpoint."""
+    """Write (or verify) the config snapshot and encoder checkpoint.
+
+    Once the directory holds a level checkpoint, a different configuration or
+    encoder raises `ConfigError`: the trained levels belong to the ones on
+    disk. Until then (a new directory, or one whose first `train` failed) a
+    different one is written over, atomically. An existing file that cannot
+    be read is refused either way, with its path.
+    """
     os.makedirs(model_dir, exist_ok=True)
+    trained = any(re.fullmatch(r"level[0-9]+\.ckpt", name) for name in os.listdir(model_dir))
     snap_path = os.path.join(model_dir, CONFIG_SNAPSHOT)
     snapshot = format_config(cfg)
-    if os.path.exists(snap_path):
-        if read_text(snap_path) != snapshot:
+    old = read_text(snap_path) if os.path.exists(snap_path) else None
+    if old != snapshot:
+        if trained and old is not None:
             raise ConfigError(f"{snap_path} exists with a different configuration")
-    else:
         checkpoint.write_atomic(snap_path, snapshot.encode("utf-8"))
     enc_path = os.path.join(model_dir, ENCODER_FILE)
     state = {k: t.data for k, t in enc.named_tensors().items()}
-    if os.path.exists(enc_path):
-        existing = checkpoint.read(enc_path)
-        same = set(existing) == set(state) and all(
-            np.array_equal(existing[k], state[k]) for k in state)
-        if not same:
+    old = checkpoint.read(enc_path) if os.path.exists(enc_path) else None
+    if old is None or set(old) != set(state) or not all(
+            np.array_equal(old[k], state[k]) for k in state):
+        if trained and old is not None:
             raise ConfigError(f"{enc_path} does not match the configured encoder")
-    else:
         checkpoint.write(enc_path, state)
 
 

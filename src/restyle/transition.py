@@ -8,7 +8,8 @@ at the deepest scale, one propagation block per scale transition (4->3,
 Every convolution here is bias-free. The error-side path is therefore
 exactly zero when the error bundle is zero; the feature branch of each
 propagation block still contributes, which training suppresses with the
-zero-pair regularizer.
+zero-pair regularizer. `zero_error_residual` computes that residual from the
+feature branch alone, with the same bits as `run_decoder` on a zero bundle.
 
 A propagation block is three steps: `fused_error`, then `block_error` and
 `block_residual`, which are independent of each other. `propagation_block`,
@@ -248,6 +249,24 @@ def run_decoder(bundle: ErrorBundle, f_in: FeatureStack, params: LevelParams):
         internals["d"].append(d)
     residual = ad.conv2d(d, params.head)
     return residual, internals
+
+
+def zero_error_residual(f_in: FeatureStack, params: LevelParams) -> Tensor:
+    """`run_decoder`'s residual for an all-zero error bundle, from the feature
+    branch alone, bit for bit.
+
+    Every error-side map of a zero bundle is exactly 0: the deep fusion, the
+    non-local block's output (its values are a 1x1 conv of zeros) and every
+    `fused_error`. So the residual feature starts as untracked zeros and each
+    block gets untracked zeros for its fused error. The gradients the skipped
+    maps would pass to their parameters are exactly 0 too (each is a product
+    with a zero operand); here those parameters get none.
+    """
+    d = Tensor(np.zeros_like(f_in.stages[-1].data))
+    for finer, block in zip(range(len(params.channels) - 2, -1, -1), params.blocks):
+        f = f_in.stages[finer]
+        d = block_residual(Tensor(np.zeros_like(f.data)), d, f, block)
+    return ad.conv2d(d, params.head)
 
 
 def calibrate(params: LevelParams, cases):

@@ -155,10 +155,37 @@ class TestTrainCommand:
         # one step: the losses are finite, so only the gradient check can stop it
         cfg_path.write_text(TINY.format(dir=tmp_path / "m").replace("steps = 2", "steps = 1")
                             + "lambda_pc = 1e39\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["train", "--config", str(cfg_path), "--level", "2"]) == 3
-        assert capsys.readouterr().err.startswith("error: numeric:")
+        # no np.errstate: the float64 loss head's gradient overflows float32,
+        # and train_level, not numpy, reports it, in one line
+        assert main(["train", "--config", str(cfg_path), "--level", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric:") and err.count("\n") == 1
         assert not (tmp_path / "m" / "level2.ckpt").exists()
+
+    def test_failed_first_train_leaves_model_dir_open(self, tmp_path, capsys):
+        """A first train that exits 3 writes no level checkpoint, so a rerun with
+        a corrected weight in the same model_dir trains, under its own snapshot."""
+        cfg_path = tmp_path / "run.cfg"
+        tiny = TINY.format(dir=tmp_path / "m")
+        cfg_path.write_text(tiny.replace("steps = 2", "steps = 1") + "lambda_pc = 1e39\n")
+        assert main(["train", "--config", str(cfg_path), "--level", "2"]) == 3
+        cfg_path.write_text(tiny)
+        assert main(["train", "--config", str(cfg_path), "--level", "2"]) == 0
+        assert capsys.readouterr().err.count("\n") == 1  # the first run's error line
+        assert load_config(tmp_path / "m" / "config.txt") == load_config(cfg_path)
+
+    def test_trained_model_dir_refuses_a_different_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        tiny = TINY.format(dir=tmp_path / "m")
+        cfg_path.write_text(tiny.replace("steps = 2", "steps = 0"))
+        assert main(["train", "--config", str(cfg_path), "--level", "2"]) == 0
+        snap_path = tmp_path / "m" / "config.txt"
+        snapshot = snap_path.read_bytes()
+        cfg_path.write_text(tiny)
+        assert main(["train", "--config", str(cfg_path), "--level", "1"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: config: {snap_path} exists with a different configuration\n"
+        assert snap_path.read_bytes() == snapshot
 
     def test_gradient_too_large_for_adam_exits_3(self, tmp_path, capsys):
         # finite gradients whose float32 squares would overflow in Adam.step;

@@ -14,11 +14,11 @@ from restyle import checkpoint, gradcheck
 from restyle.autodiff import Tensor
 from restyle.config import RunConfig, format_config, read_text
 from restyle.corpus import CorpusSpec, make_corpus
-from restyle.encoder import ErrorBundle, encode, gram_stack, make_encoder
+from restyle.encoder import NUM_STAGES, ErrorBundle, encode, gram_stack, make_encoder
 from restyle.errors import CheckpointError, ConfigError, ContractError, TrainingDiverged
 from restyle.images import downsample, to_chw, upsample
 from restyle.stylizer import PyramidModel, start_estimate, stylize
-from restyle import stylizer, trainer
+from restyle import stylizer, trainer, transition
 from restyle.trainer import (Adam, LossWeights, TargetCache, TrainResult, combine_losses,
                              content_loss, cosine_lr, evaluate, full_resolution_losses,
                              image_targets, init_level_params, level_terms, probe_cases,
@@ -215,6 +215,28 @@ class TestTotalLoss:
         for a, b in zip(got, (total, l_pc, l_ps, l_tv)):
             assert a.dtype == b.dtype and a.data.tobytes() == b.data.tobytes()
 
+    def test_sample_objective_runs_the_attention_once(self, enc, monkeypatch):
+        """The zero-pair term runs the decoder's feature branch alone, so only
+        the refinement runs `nonlocal_block`: once per `sample_objective`."""
+        calls = []
+        original = transition.nonlocal_block
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("restyle") and mod is not None:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        params = make_level_params([3, 1], channels=CHANNELS)
+        targets = image_targets(Tensor(to_chw(rand_img(40, 32))), Tensor(to_chw(rand_img(41, 32))),
+                                2, enc)
+        sample_objective(Tensor(to_chw(rand_img(42, 32))), targets, params, enc, 1,
+                         LossWeights(style_per_level=(1.0, 5.0)))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_through_losses(self, seed, enc):
         enc64 = enc.astype(np.float64)
@@ -231,6 +253,29 @@ class TestTotalLoss:
 
             return [cs], forward
         assert gradcheck.check_gradients(build, seed, max_coords=40) < 1e-4
+
+
+class TestTargetCache:
+    def test_keeps_the_deepest_stage_above_the_trained_level(self, enc):
+        """Trained at level 1 of 3, the cache keeps the whole stack at level 1
+        and only its deepest stage at levels 2 and 3, with every Gram at every
+        level, each equal to a full `encode` of the level's image."""
+        cfg = tiny_config(levels=3, lambda_ps=(1.0, 5.0, 8.0))
+        contents, styles = make_corpus(CorpusSpec(seed=cfg.seed, size=cfg.image_size,
+                                                  content_count=cfg.content_count,
+                                                  style_count=cfg.style_count))
+        cache = TargetCache(enc, cfg.levels, 1, contents, styles)
+        for role, idx in (("c", 1), ("s", 0)):
+            for level in (1, 2, 3):
+                stack, grams = cache.features(role, idx, level)
+                full = encode(cache.level_images(role, idx)[level - 1], enc)
+                want = full.stages if level == 1 else full.stages[-1:]
+                assert len(stack.stages) == len(want), (role, level)
+                for got, f in zip(stack.stages, want):
+                    assert np.array_equal(got.data, f.data)
+                assert len(grams) == NUM_STAGES
+                for g, f in zip(grams, full.stages):
+                    assert np.array_equal(g.data, ad.gram(f).data)
 
 
 class TestRecoveringClamp:
@@ -297,6 +342,30 @@ def test_failed_snapshot_write_leaves_no_config(tmp_path, monkeypatch):
     assert os.listdir(cfg.model_dir) == []
     trainer.init_model_dir(cfg.model_dir, cfg, enc)
     assert read_text(snap_path) == format_config(cfg)
+
+
+@pytest.mark.parametrize("trained", [False, True])
+def test_other_encoder_refused_once_a_level_is_trained(tmp_path, trained):
+    """`init_model_dir` writes over another encoder's checkpoint until the
+    directory holds a level checkpoint, and refuses it from then on."""
+    cfg = tiny_config(model_dir=str(tmp_path / "m"))
+    trainer.init_model_dir(cfg.model_dir, cfg, make_encoder(seed=3, channels=CHANNELS))
+    if trained:
+        trainer.save_level_checkpoint(os.path.join(cfg.model_dir, trainer.level_file(2)),
+                                      make_level_params([cfg.seed, 2], channels=CHANNELS))
+    enc_path = os.path.join(cfg.model_dir, trainer.ENCODER_FILE)
+    before = checkpoint.read(enc_path)
+    enc = trainer.make_model_encoder(cfg)
+    if trained:
+        with pytest.raises(ConfigError, match="does not match the configured encoder"):
+            trainer.init_model_dir(cfg.model_dir, cfg, enc)
+        want = before
+    else:
+        trainer.init_model_dir(cfg.model_dir, cfg, enc)
+        want = {k: t.data for k, t in enc.named_tensors().items()}
+    stored = checkpoint.read(enc_path)
+    assert set(stored) == set(want)
+    assert all(np.array_equal(stored[k], want[k]) for k in want)
 
 
 class TestLoadModelDir:
@@ -370,10 +439,10 @@ class TestTrainLevel:
 
     def test_non_finite_gradient_raises(self, enc):
         # finite losses, but the float64 loss head's gradient overflows float32
+        # and no numpy warning: train_level ignores the overflow it then refuses
         cfg = tiny_config(steps=1, lambda_pc=1e39)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged, match="gradient"):
-                train_level(cfg, 2, enc, frozen={})
+        with pytest.raises(TrainingDiverged, match="gradient"):
+            train_level(cfg, 2, enc, frozen={})
 
     def test_deterministic_runs(self, enc):
         cfg = tiny_config(steps=3)
@@ -485,7 +554,7 @@ def test_frozen_prefix_uses_cached_targets(enc, monkeypatch):
         params = init_level_params(cfg, 1, enc, contents, styles)
         frozen = {j: init_level_params(cfg, j, enc, contents, styles).set_trainable(False)
                   for j in range(2, levels + 1)}
-        cache = TargetCache(enc, cfg.levels, contents, styles)
+        cache = TargetCache(enc, cfg.levels, 1, contents, styles)
         outputs = []
         refine = stylizer.refine_level
         monkeypatch.setattr(stylizer, "refine_level",
@@ -505,7 +574,7 @@ def sequential_training(cfg, level, enc, frozen, contents, styles):
     other in this thread: (params, log lines)."""
     params = init_level_params(cfg, level, enc, contents, styles)
     opt = Adam(params.tensors())
-    cache = TargetCache(enc, cfg.levels, contents, styles)
+    cache = TargetCache(enc, cfg.levels, level, contents, styles)
     weights = LossWeights.from_config(cfg)
     rng = np.random.default_rng([cfg.seed, 100 + level])
     lines = []
@@ -601,8 +670,8 @@ class TestConcurrentBatch:
         kwargs = dict(contents=setting["contents"], styles=setting["styles"])
         train_level(tiny_config(steps=1), 1, *args, **kwargs)
         assert blas[0]() == before
-        # the worker thread keeps the caller's np.errstate: no overflow warning
-        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        # the worker thread keeps train_level's np.errstate: no overflow warning
+        with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(TrainingDiverged, match="gradient"):
                 train_level(tiny_config(steps=1, lambda_pc=1e39), 1, *args, **kwargs)

@@ -13,7 +13,7 @@ from restyle.errors import ContractError
 from restyle.transition import (LevelParams, NonLocalParams, PropagationBlockParams,
                                 block_residual, etnet_forward, fused_error,
                                 make_level_params, nonlocal_block, propagation_block,
-                                run_decoder)
+                                run_decoder, zero_error_residual)
 
 from test_encoder import rand_img
 
@@ -472,3 +472,43 @@ class TestEtnetForward:
 
         err = gradcheck.check_gradients(build, seed=0, max_coords=4)
         assert err < 1e-4
+
+
+class TestZeroErrorResidual:
+    """The feature branch alone gives run_decoder's zero-bundle residual and
+    parameter gradients, bit for bit."""
+
+    WIDTHS = (16, 32, 64, 128)
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return make_encoder(seed=3, channels=self.WIDTHS), \
+            make_level_params(seed=4, channels=self.WIDTHS)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [24, 96])
+    def test_matches_run_decoder_on_a_zero_bundle(self, wide, size, dtype):
+        enc, params = (p.astype(dtype) for p in wide)
+        f_in = encode(Tensor(np.transpose(rand_img(size, size), (2, 0, 1)), dtype=dtype), enc)
+        zero = ErrorBundle(content=Tensor(np.zeros_like(f_in.stages[-1].data)),
+                           style=tuple(Tensor(np.zeros((c, c), dtype=dtype))
+                                       for c in self.WIDTHS))
+        want, _ = run_decoder(zero, f_in, params)
+        twin = ad.shared_params(params)
+        got = zero_error_residual(f_in, twin)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got.data, want.data)
+
+        for res in (want, got):
+            ad.backward(ad.mean_all(ad.mul(res, res)))
+        untouched = []
+        for (name, a), b in zip(params.named_tensors().items(), twin.tensors()):
+            assert a.grad is not None or name.endswith("phi_u.weight"), name
+            if b.grad is None:  # an error-side parameter: its gradient is exactly 0
+                untouched.append(name)
+                b_grad = np.zeros_like(b.data)
+            else:
+                b_grad = b.grad
+            a_grad = np.zeros_like(a.data) if a.grad is None else a.grad
+            np.testing.assert_array_equal(b_grad, a_grad, err_msg=name)
+        assert "head.weight" not in untouched and "fuse.w" in untouched

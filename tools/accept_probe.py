@@ -77,7 +77,7 @@ def step_rms(c, outputs):
 def descend(icing, c, s, level, model, cfg, steps, lr):
     """`steps` Adam steps at `lr` on the pixels of `icing` under level `level`'s own
     objective toward the full-resolution pair (c, s); returns the clamped image."""
-    cache = TargetCache(model.encoder, cfg.levels, [c], [s])
+    cache = TargetCache(model.encoder, cfg.levels, level, [c], [s])
     levels = range(level, cfg.levels + 1)
     targets = ([cache.features("c", 0, j) for j in levels],
                [cache.features("s", 0, j) for j in levels])
