@@ -332,6 +332,18 @@ def softmax_rows(a):
     return record(y, (a,), bw)
 
 
+def take(a, key):
+    """`a[key]` for a basic index `key` (integers and slices); the backward pass
+    scatters the gradient into zeros of `a`'s shape."""
+    def bw(g):
+        if a.requires_grad:
+            full = np.zeros_like(a.data)
+            full[key] = g
+            accumulate(a, full)
+
+    return record(a.data[key], (a,), bw)
+
+
 def reshape(a, shape):
     """The same values in row-major order, viewed in another shape."""
     def bw(g):
@@ -462,8 +474,10 @@ def _tap_rows(xs, k, pad, rows, out=None):
 
 
 # Upper bound on one band's tap rows plus its k partial maps when _conv_rows
-# splits the output into bands of rows. On the model's 3x3 convs at 384 px,
-# 4-32 MiB ran within noise of each other and 2 MiB about 30% slower.
+# splits the output into bands of rows, and on one block's (B, N) logits when
+# transition.nonlocal_block splits the attention into blocks of rows. On the
+# model's 3x3 convs at 384 px, 4-32 MiB ran within noise of each other and
+# 2 MiB about 30% slower.
 COLUMN_BYTES = 8 << 20
 
 # Every band's GEMM gets a whole number of GEMM_BLOCK columns, zero-padded.

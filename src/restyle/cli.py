@@ -194,6 +194,10 @@ def main(argv=None):
     except TrainingDiverged as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"error: memory: out of memory in {args.command}; use smaller images",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -243,6 +243,8 @@ def standard_suite():
         GradCase("upsample_nearest2x", case(ad.upsample_nearest2x, ((2, 3, 3), 1.0))),
         GradCase("matmul", case(ad.matmul, ((4, 3), 1.0), ((3, 5), 1.0))),
         GradCase("softmax_rows", case(ad.softmax_rows, ((4, 6), 1.0))),
+        GradCase("take", case(functools.partial(ad.take, key=(slice(1, 3), slice(0, 5, 2))),
+                              ((4, 5), 1.0))),
         GradCase("gram", case(ad.gram, ((3, 4, 4), 1.0))),
         GradCase("fuse", case(fuse, ((3, 2, 3), 1.0), ((3, 3), 0.5), ((3, 3), 0.5))),
         GradCase("nonlocal_block", case(_nonlocal, *[((3, 3, 1, 1), 1.0)] * 3,

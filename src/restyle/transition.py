@@ -19,6 +19,11 @@ coarser resolution. The finest block's error map has no consumer, so
 `run_decoder` and `calibrate` skip its `block_error` step. `block_residual`'s
 merge conv reads its three input maps as a list, so they are never copied
 into one concatenated array.
+
+Outside a training graph, memory grows linearly with the pixel count:
+`run_decoder` drops each map as soon as the next step has read it, and
+`nonlocal_block` computes the attention in blocks of affinity rows within
+`ad.COLUMN_BYTES`, so no N x N array is ever built at once.
 """
 
 from __future__ import annotations
@@ -150,11 +155,6 @@ def make_level_params(seed, channels, trainable=True):
     return params.set_trainable(trainable)
 
 
-# Upper bound on the attention's (N, N) affinity, N the deepest map's pixel
-# count. 1 GiB admits a 1024 px image in float32 (N = 128 * 128).
-AFFINITY_BYTES = 1 << 30
-
-
 def nonlocal_block(err4: Tensor, f_in4: Tensor, p: NonLocalParams) -> Tensor:
     """Diffuse the deepest error map across all positions by affinity.
 
@@ -165,29 +165,35 @@ def nonlocal_block(err4: Tensor, f_in4: Tensor, p: NonLocalParams) -> Tensor:
 
     Keys and values stay in the (C, N) layout of a flattened (C, H, W) map,
     so the product over the (N_err, N_pos) affinity is `v @ A`, already in
-    the output's layout: the only N x N array is the affinity itself. The
-    1/sqrt(C) scale is applied to the (N, C) queries. `softmax_rows` sets
-    affinities below the smallest normal float to 0, so the products never
-    run on subnormal operands.
+    the output's layout. The 1/sqrt(C) scale is applied to the (N, C)
+    queries. `softmax_rows` sets affinities below the smallest normal float
+    to 0, so the products never run on subnormal operands.
 
-    A map whose affinity would take more than `AFFINITY_BYTES` raises
-    `ContractError` before anything is computed, rather than running the
-    machine out of memory.
+    The N affinity rows are split evenly into the fewest blocks whose (B, N)
+    logits fit in `ad.COLUMN_BYTES`, the budget and split rule of conv2d's
+    bands, and the output is the sum of the blocks' `v[:, rows] @ A[rows]`.
+    A softmax row reads only its own logits, so the blocks are independent,
+    and the forward pass takes O(B * N + N * C) memory besides its inputs,
+    not O(N^2). With one block, as on the 12 x 12 deepest map of 96 px
+    training, the graph is the unsliced `v @ softmax_rows(q @ k)`; several
+    blocks reorder the sums of `v @ A`, and so its rounding. A backward
+    pass through several blocks keeps every block's affinity in the graph.
     """
     if err4.shape != f_in4.shape:
         raise ContractError(f"nonlocal_block: {err4.shape} vs {f_in4.shape}")
     c, h, w = err4.shape
     n = h * w
-    if n * n * err4.dtype.itemsize > AFFINITY_BYTES:
-        raise ContractError(
-            f"nonlocal_block: a {h}x{w} deepest map needs a {n}x{n} attention affinity of "
-            f"{n * n * err4.dtype.itemsize / 2**30:.2f} GiB, over the "
-            f"{AFFINITY_BYTES / 2**30:g} GiB limit; use a smaller image")
     q = ad.scale(ad.flatten_pixels(ad.conv2d(err4, p.psi_u)), 1.0 / np.sqrt(c))  # (N, C)
-    k = ad.reshape(ad.conv2d(f_in4, p.psi_g), (c, h * w))                        # (C, N)
-    v = ad.reshape(ad.conv2d(err4, p.psi_h), (c, h * w))                         # (C, N)
-    affinity = ad.softmax_rows(ad.matmul(q, k))                                  # (N_err, N_pos)
-    return ad.reshape(ad.matmul(v, affinity), (c, h, w))
+    k = ad.reshape(ad.conv2d(f_in4, p.psi_g), (c, n))                            # (C, N)
+    v = ad.reshape(ad.conv2d(err4, p.psi_h), (c, n))                             # (C, N)
+    blocks = -(-n // max(1, ad.COLUMN_BYTES // (n * err4.dtype.itemsize)))
+    out = None
+    for i in range(blocks):
+        rows = slice(n * i // blocks, n * (i + 1) // blocks)
+        q_b, v_b = (q, v) if blocks == 1 else (ad.take(q, rows), ad.take(v, (slice(None), rows)))
+        part = ad.matmul(v_b, ad.softmax_rows(ad.matmul(q_b, k)))                # (C, N)
+        out = part if out is None else ad.add(out, part)
+    return ad.reshape(out, (c, h, w))
 
 
 def fused_error(err_i, style_delta_finer, p: PropagationBlockParams):
@@ -231,24 +237,24 @@ def propagation_block(err_i, d_i, f_in_finer, style_delta_finer, p: PropagationB
 def run_decoder(bundle: ErrorBundle, f_in: FeatureStack, params: LevelParams):
     """Decode an error bundle plus current-stylization features to a residual.
 
-    Returns (residual, internals); internals expose the fused deep error,
-    the per-scale error maps of every block but the finest, and the
-    per-scale residual features.
+    Returns (residual, None). Each error and residual-feature map is dropped
+    as soon as the next block has read it, so outside a training graph only
+    the maps of one scale transition are alive at a time. A caller that
+    needs the per-site maps walks the steps as `calibrate` does
+    (`fused_error`, `block_error`, `block_residual`). The second slot keeps
+    the pair that callers such as perfbench/workloads.py's float64
+    reference unpack.
     """
     err = fuse(bundle.content, params.fuse_w, bundle.style[-1])
     d = nonlocal_block(err, f_in.stages[-1], params.nonlocal_)
-    internals = {"err": [err], "d": [d]}
     # blocks run coarsest first; `finer` is the stage index of a block's output scale
     for finer, block in zip(range(len(params.channels) - 2, -1, -1), params.blocks):
         if finer:
             err, d = propagation_block(err, d, f_in.stages[finer], bundle.style[finer], block)
-            internals["err"].append(err)
-        else:  # nothing reads the finest block's error map
-            d = block_residual(fused_error(err, bundle.style[0], block), d, f_in.stages[0],
-                               block)
-        internals["d"].append(d)
-    residual = ad.conv2d(d, params.head)
-    return residual, internals
+        else:  # nothing reads the finest block's error map: err dies before phi_w runs
+            fused, err = fused_error(err, bundle.style[0], block), None
+            d = block_residual(fused, d, f_in.stages[0], block)
+    return ad.conv2d(d, params.head), None
 
 
 def zero_error_residual(f_in: FeatureStack, params: LevelParams) -> Tensor:

@@ -717,6 +717,27 @@ class TestMatmulSoftmax:
         with pytest.raises(ContractError):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
+    @pytest.mark.parametrize("key", [(slice(1, 3),), (slice(None), slice(0, 5, 2)),
+                                     (2, slice(4, 0, -2))],
+                             ids=["rows", "strided-columns", "int-reversed"])
+    def test_take_is_the_basic_index(self, key):
+        """take(a, key) is a[key]; its backward pass puts the gradient at
+        a[key] and zeros everywhere else."""
+        rng = np.random.default_rng(12)
+        a = Tensor(rng.standard_normal((4, 5)), requires_grad=True, dtype=np.float64)
+        out = ad.take(a, key)
+        np.testing.assert_array_equal(out.data, a.data[key])
+        g = rng.standard_normal(out.shape)
+        ad.backward(ad.sum_all(ad.mul(out, Tensor(g, dtype=np.float64))))
+        want = np.zeros((4, 5))
+        want[key] = g
+        np.testing.assert_array_equal(a.grad, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_take_gradients(self, seed):
+        build = next(c.build for c in gradcheck.standard_suite() if c.name == "take")
+        assert gradcheck.check_gradients(build, seed) < 1e-4
+
     def test_flatten_unflatten_roundtrip(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 2, 4)).astype(np.float32)

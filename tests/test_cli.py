@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from restyle import autodiff, checkpoint, cli, encoder, gradcheck, trainer, transition
+from restyle import autodiff, checkpoint, cli, encoder, gradcheck, trainer
 from restyle.cli import main
 from restyle.config import RunConfig, load_config
 from restyle.corpus import CorpusSpec, make_test_pairs
@@ -252,17 +252,20 @@ class TestStylizeCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_image_too_large_for_attention_exits_2(self, tmp_path, trained, monkeypatch,
-                                                   capsys):
-        """An image whose attention would not fit transition.AFFINITY_BYTES exits 2
-        with an input error, not a MemoryError traceback."""
-        monkeypatch.setattr(transition, "AFFINITY_BYTES", 0)
+    def test_out_of_memory_exits_2(self, tmp_path, trained, monkeypatch, capsys):
+        """A MemoryError inside stylize exits 2 with one error line, not a
+        traceback, and writes no output."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "stylize", exhausted)
         rc = main(["stylize", "--content", str(trained / "content"),
                    "--style", str(trained / "style"), "--model", str(trained / "model"),
                    "--out", str(tmp_path / "o.ppm")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: input: nonlocal_block:") and "Traceback" not in err
+        assert err.startswith("error: memory:") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not (tmp_path / "o.ppm").exists()
 
     def test_bad_image_exits_2(self, tmp_path, trained, capsys):

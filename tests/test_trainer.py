@@ -28,6 +28,7 @@ from restyle.transition import RESIDUAL_INIT_RMS, etnet_forward, make_level_para
     run_decoder
 
 from test_encoder import rand_img
+from test_transition import decoder_maps
 
 CHANNELS = (4, 6, 8, 10)
 
@@ -507,15 +508,15 @@ def test_calibrated_decoder_maps_have_unit_rms(enc, size, levels):
 
     for level in range(1, levels + 1):
         params = init_level_params(cfg, level, enc, contents, styles)
-        runs = [run_decoder(bundle, f_in, params)
-                for bundle, f_in in probe_cases(cfg, level, enc, contents, styles)]
+        cases = probe_cases(cfg, level, enc, contents, styles)
+        runs = [decoder_maps(bundle, f_in, params) for bundle, f_in in cases]
         # the deep map, then one per block
-        for key, sites in (("err", len(CHANNELS) - 1), ("d", len(CHANNELS))):
-            assert all(len(internals[key]) == sites for _, internals in runs)
+        for key, sites in ((0, len(CHANNELS) - 1), (1, len(CHANNELS))):
+            assert all(len(maps[key]) == sites for maps in runs)
             for site in range(sites):
-                got = pooled_rms([internals[key][site] for _, internals in runs])
+                got = pooled_rms([maps[key][site] for maps in runs])
                 assert got == pytest.approx(1.0, rel=1e-4), (level, key, site)
-        got = pooled_rms([residual for residual, _ in runs])
+        got = pooled_rms([run_decoder(bundle, f_in, params)[0] for bundle, f_in in cases])
         assert got == pytest.approx(RESIDUAL_INIT_RMS, rel=1e-4), level
 
 

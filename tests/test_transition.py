@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from restyle import autodiff as ad
-from restyle import gradcheck, transition
+from restyle import gradcheck
 from restyle.autodiff import ConvParams, Tensor, load_state
-from restyle.encoder import ErrorBundle, encode, make_encoder, pair_errors
+from restyle.encoder import ErrorBundle, encode, fuse, make_encoder, pair_errors
 from restyle.errors import ContractError
 from restyle.transition import (LevelParams, NonLocalParams, PropagationBlockParams,
-                                block_residual, etnet_forward, fused_error,
+                                block_error, block_residual, etnet_forward, fused_error,
                                 make_level_params, nonlocal_block, propagation_block,
                                 run_decoder, zero_error_residual)
 
@@ -138,42 +138,118 @@ class TestNonLocalBlock:
         with pytest.raises(ContractError):
             nonlocal_block(Tensor(np.zeros((4, 3, 3))), Tensor(np.zeros((4, 2, 3))), p)
 
-    def test_oversized_map_raises_before_attention(self):
-        """A 132x132 deepest map, that of a 1056 px image, needs a 1.13 GiB
-        float32 affinity: ContractError, before anything of that size exists."""
-        p = make_nonlocal(np.random.default_rng(12), 1)
-        err = Tensor(np.ones((1, 132, 132), dtype=np.float32))
-        tracemalloc.start()
-        try:
-            with pytest.raises(ContractError, match="132x132"):
-                nonlocal_block(err, err, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_affinity_limit_admits_its_own_size(self, monkeypatch):
-        """The limit is inclusive and counts the dtype's bytes: with room for a
-        16x16 float32 affinity, a 4x4 float32 map runs; a 4x5 one and a 4x4
-        float64 one raise."""
-        monkeypatch.setattr(transition, "AFFINITY_BYTES", 16 * 16 * 4)
-        rng = np.random.default_rng(13)
-        p = make_nonlocal(rng, 2)
-        x = rng.standard_normal((2, 4, 4)).astype(np.float32)
-        assert nonlocal_block(Tensor(x), Tensor(x), p).shape == (2, 4, 4)
-        with pytest.raises(ContractError):
-            nonlocal_block(Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros((2, 4, 5))), p)
-        with pytest.raises(ContractError):
-            nonlocal_block(Tensor(x, dtype=np.float64), Tensor(x, dtype=np.float64), p)
-
-    def test_limit_admits_1024_px_float32(self):
-        assert (128 * 128) ** 2 * 4 <= transition.AFFINITY_BYTES < (132 * 132) ** 2 * 4
-
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients(self, seed):
         # the standard suite's case: three 1x1 weights, then error and features
         build = next(c.build for c in gradcheck.standard_suite() if c.name == "nonlocal_block")
         assert gradcheck.check_gradients(build, seed) < 1e-4
+
+
+def block_budget(monkeypatch, n, rows, itemsize):
+    """Set ad.COLUMN_BYTES to hold `rows` rows of an (N, N) affinity, but not
+    rows + 1."""
+    monkeypatch.setattr(ad, "COLUMN_BYTES", rows * n * itemsize + n * itemsize // 2)
+
+
+def spy_blocks(monkeypatch):
+    """The row count of each softmax_rows call, in call order."""
+    sizes = []
+    softmax_rows = ad.softmax_rows
+
+    def spy(a):
+        sizes.append(a.shape[0])
+        return softmax_rows(a)
+
+    monkeypatch.setattr(ad, "softmax_rows", spy)
+    return sizes
+
+
+class TestAttentionBlocks:
+    """nonlocal_block splits the affinity rows into the fewest blocks whose
+    logits fit in ad.COLUMN_BYTES."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_block_is_the_unsliced_product(self, monkeypatch, dtype):
+        """A 12x12 map, the deepest of a 96 px training image: one block, no
+        slice, and the bits of v @ softmax_rows(q @ k)."""
+        def no_take(*args):
+            raise AssertionError("a one-block attention sliced its operands")
+
+        rng = np.random.default_rng(20)
+        p = make_nonlocal(rng, 8)
+        for conv in (p.psi_h, p.psi_u, p.psi_g):
+            conv.weight = Tensor(conv.weight.data, dtype=dtype)
+        err = Tensor(rng.standard_normal((8, 12, 12)), dtype=dtype)
+        f_in = Tensor(rng.standard_normal((8, 12, 12)), dtype=dtype)
+        monkeypatch.setattr(ad, "take", no_take)
+        sizes = spy_blocks(monkeypatch)
+        got = nonlocal_block(err, f_in, p)
+        assert sizes == [144]
+        q = ad.scale(ad.flatten_pixels(ad.conv2d(err, p.psi_u)), 1.0 / np.sqrt(8))
+        k = ad.reshape(ad.conv2d(f_in, p.psi_g), (8, 144))
+        v = ad.reshape(ad.conv2d(err, p.psi_h), (8, 144))
+        want = v.data @ ad.softmax_rows(ad.matmul(q, k)).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.data, want.reshape(8, 12, 12))
+
+    @pytest.mark.parametrize("h, w, rows, sizes", [
+        (6, 6, 1, [1] * 36),             # every block one row, the last among them
+        (5, 7, 2, [1] + [2] * 17),       # uneven: 35 rows in 18 blocks
+        (6, 6, 5, [4, 5] * 4),           # uneven: 36 rows in 8 blocks
+    ])
+    @pytest.mark.parametrize("peaked", [False, True], ids=["plain", "peaked"])
+    def test_blocks_match_oracle(self, monkeypatch, h, w, rows, sizes, peaked):
+        """Blocked attention matches the float64 oracle. Query and key weights
+        scaled up 6x put about 77 float32 affinities of each case below the
+        smallest normal float, where they are flushed to 0. The float32
+        output is a sum of up to 36 block products of values up to about
+        10, hence the relative tolerance."""
+        rng = np.random.default_rng(h * 10 + w + rows)
+        p = make_nonlocal(rng, 4)
+        if peaked:
+            p.psi_u.weight.data *= 6
+            p.psi_g.weight.data *= 6
+        err = rng.standard_normal((4, h, w)).astype(np.float32)
+        f_in = rng.standard_normal((4, h, w)).astype(np.float32)
+        block_budget(monkeypatch, h * w, rows, 4)
+        got_sizes = spy_blocks(monkeypatch)
+        got = nonlocal_block(Tensor(err), Tensor(f_in), p).data
+        assert got_sizes == sizes
+        want = nonlocal_loops(err.astype(np.float64), f_in.astype(np.float64),
+                              p.psi_h.weight.data.astype(np.float64),
+                              p.psi_u.weight.data.astype(np.float64),
+                              p.psi_g.weight.data.astype(np.float64))
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_across_blocks(self, monkeypatch, seed):
+        """The standard suite's nonlocal_block case (a 2x3 map, N = 6) in three
+        blocks of two rows."""
+        block_budget(monkeypatch, 6, 2, 8)
+        sizes = spy_blocks(monkeypatch)
+        build = next(c.build for c in gradcheck.standard_suite() if c.name == "nonlocal_block")
+        assert gradcheck.check_gradients(build, seed) < 1e-4
+        assert sizes[:3] == [2, 2, 2]
+
+    def test_memory_is_linear_in_pixels(self, monkeypatch):
+        """A 64x64 deepest map (N = 4096) under a 1 MiB budget runs in 64 blocks
+        and peaks at a few budgets plus a few (C, N) maps, where its (N, N)
+        float32 affinity alone would take 64 MiB."""
+        budget, c, n = 1 << 20, 4, 64 * 64
+        rng = np.random.default_rng(21)
+        p = make_nonlocal(rng, c)
+        err = Tensor(rng.standard_normal((c, 64, 64)).astype(np.float32))
+        f_in = Tensor(rng.standard_normal((c, 64, 64)).astype(np.float32))
+        monkeypatch.setattr(ad, "COLUMN_BYTES", budget)
+        sizes = spy_blocks(monkeypatch)
+        tracemalloc.start()
+        try:
+            out = nonlocal_block(err, f_in, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sizes == [64] * 64 and out.shape == (c, 64, 64)
+        assert peak < 3 * budget + 8 * n * c * 4 < n * n * 4 // 16
 
 
 def make_block(rng, c_i, c_prev, dtype=np.float32):
@@ -345,6 +421,20 @@ def small_setup():
     return enc, params
 
 
+def decoder_maps(bundle, f_in, params):
+    """run_decoder's per-site maps, from the steps that `calibrate` walks:
+    (error maps, residual features), the deep fusion and the non-local
+    output first, then each block's, with no error map for the finest."""
+    err = fuse(bundle.content, params.fuse_w, bundle.style[-1])
+    errs, ds = [err], [nonlocal_block(err, f_in.stages[-1], params.nonlocal_)]
+    for finer, block in zip(range(len(params.channels) - 2, -1, -1), params.blocks):
+        fused = fused_error(errs[-1], bundle.style[finer], block)
+        if finer:
+            errs.append(block_error(fused, block))
+        ds.append(block_residual(fused, ds[-1], f_in.stages[finer], block))
+    return errs, ds
+
+
 class TestEtnetForward:
     def test_output_shape_matches_input(self, small_setup):
         enc, params = small_setup
@@ -360,10 +450,10 @@ class TestEtnetForward:
         bundle = ErrorBundle(
             content=Tensor(np.zeros_like(f_in.stages[-1].data)),
             style=tuple(Tensor(np.zeros((c, c), dtype=np.float32)) for c in CHANNELS))
-        residual, internals = run_decoder(bundle, f_in, params)
-        for err in internals["err"]:
+        errs, ds = decoder_maps(bundle, f_in, params)
+        for err in errs:
             assert np.max(np.abs(err.data)) == 0.0
-        assert np.max(np.abs(internals["d"][0].data)) == 0.0
+        assert np.max(np.abs(ds[0].data)) == 0.0
 
     def test_identity_inputs_zero_error_path(self, small_setup):
         # content == style == current makes every error feature exactly zero
@@ -374,23 +464,52 @@ class TestEtnetForward:
         bundle = errors_between(encode(img, enc).stages[-1], gram_stack(encode(img, enc)),
                                 (f_in, gram_stack(f_in)))
         assert np.max(np.abs(bundle.content.data)) == 0.0
-        residual, internals = run_decoder(bundle, f_in, params)
-        for err in internals["err"]:
+        errs, _ = decoder_maps(bundle, f_in, params)
+        for err in errs:
             assert np.max(np.abs(err.data)) == 0.0
 
     def test_finest_error_map_is_unused(self, small_setup):
         """The finest block's phi_u feeds nothing: a NaN weight there leaves the
-        residual finite and unchanged, and internals hold no finest error map."""
+        residual finite and unchanged. The site-by-site walk makes no finest
+        error map and gives run_decoder's residual bit for bit."""
         enc, params = small_setup
         bundle, f_in = pair_errors(rand_img(10, 16), rand_img(11, 16), rand_img(9, 16), enc)
-        residual, internals = run_decoder(bundle, f_in, params)
+        residual, _ = run_decoder(bundle, f_in, params)
         poisoned = ad.cast_params(params, np.float32)
         poisoned.blocks[-1].phi_u.weight.data[:] = np.nan
         got, _ = run_decoder(bundle, f_in, poisoned)
         assert np.all(np.isfinite(got.data))
         np.testing.assert_array_equal(got.data, residual.data)
-        assert [e.shape[1] for e in internals["err"]] == [2, 4, 8]
-        assert [d.shape[1] for d in internals["d"]] == [2, 4, 8, 16]
+        errs, ds = decoder_maps(bundle, f_in, poisoned)
+        assert [e.shape[1] for e in errs] == [2, 4, 8]
+        assert [d.shape[1] for d in ds] == [2, 4, 8, 16]
+        np.testing.assert_array_equal(ad.conv2d(ds[-1], params.head).data, residual.data)
+
+    def test_decoder_keeps_no_dead_map(self):
+        """At 128 px with the acceptance widths, run_decoder peaks at its finest
+        step's own peak plus that step's two inputs (the fused error and the
+        coarser residual feature): every coarser map is gone by then. Keeping
+        the coarser error and residual maps would add 1.25 MiB."""
+        widths = (16, 32, 64, 128)
+        enc = make_encoder(seed=3, channels=widths)
+        params = make_level_params(seed=4, channels=widths, trainable=False)
+        bundle, f_in = pair_errors(rand_img(12, 128), rand_img(13, 128), rand_img(14, 128), enc)
+        errs, ds = decoder_maps(bundle, f_in, params)
+        last = params.blocks[-1]
+        fused = fused_error(errs[-1], bundle.style[0], last)
+        del errs
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        step = peak(lambda: block_residual(fused, ds[-2], f_in.stages[0], last))
+        decoder = peak(lambda: run_decoder(bundle, f_in, params))
+        assert decoder < step + fused.data.nbytes + ds[-2].data.nbytes + (64 << 10)
 
     def test_all_zero_images_give_zero_residual(self, small_setup):
         # bias-free everywhere: zero images produce exactly zero residual
