@@ -195,6 +195,8 @@ def main(argv=None):
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
+        # an allocation the system refused; a process the OS kills for lack of
+        # memory ends without this line
         print(f"error: memory: out of memory in {args.command}; use smaller images",
               file=sys.stderr)
         return 2

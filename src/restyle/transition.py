@@ -175,8 +175,10 @@ def nonlocal_block(err4: Tensor, f_in4: Tensor, p: NonLocalParams) -> Tensor:
     A softmax row reads only its own logits, so the blocks are independent,
     and the forward pass takes O(B * N + N * C) memory besides its inputs,
     not O(N^2). With one block, as on the 12 x 12 deepest map of 96 px
-    training, the graph is the unsliced `v @ softmax_rows(q @ k)`; several
-    blocks reorder the sums of `v @ A`, and so its rounding. A backward
+    training, the slices cover every row: `take` then passes q and v through
+    as contiguous views, and its backward pass the whole gradient, so the
+    bits are those of the unsliced `v @ softmax_rows(q @ k)`. Several blocks
+    reorder the sums of `v @ A`, and so its rounding. A backward
     pass through several blocks keeps every block's affinity in the graph.
     """
     if err4.shape != f_in4.shape:
@@ -190,7 +192,7 @@ def nonlocal_block(err4: Tensor, f_in4: Tensor, p: NonLocalParams) -> Tensor:
     out = None
     for i in range(blocks):
         rows = slice(n * i // blocks, n * (i + 1) // blocks)
-        q_b, v_b = (q, v) if blocks == 1 else (ad.take(q, rows), ad.take(v, (slice(None), rows)))
+        q_b, v_b = ad.take(q, rows), ad.take(v, (slice(None), rows))
         part = ad.matmul(v_b, ad.softmax_rows(ad.matmul(q_b, k)))                # (C, N)
         out = part if out is None else ad.add(out, part)
     return ad.reshape(out, (c, h, w))
